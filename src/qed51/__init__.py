@@ -13,13 +13,13 @@ Heaviside-Lorentz charge); the constants profiles in qed51.constants convert
 to laboratory units.
 """
 
-from . import (constants, dirac, hydrogen, kinematics, processes, propagators,
-               radiative, spinors, wick)
+from . import (constants, dirac, hydrogen, kinematics, numerics, processes,
+               propagators, radiative, spinors, wick)
 from .errors import DomainError, NumericError, PoleError, QedError
 
 __all__ = [
     "constants", "dirac", "kinematics", "spinors", "propagators", "processes",
-    "hydrogen", "radiative", "wick",
+    "hydrogen", "radiative", "wick", "numerics",
     "QedError", "DomainError", "PoleError", "NumericError",
 ]
 

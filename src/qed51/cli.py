@@ -39,8 +39,6 @@ class Table:
 def _plain(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
-        return value
     return value
 
 
@@ -180,10 +178,18 @@ def cmd_hydrogen(args, config: RunConfig) -> Table:
 
 
 def _strip_unit(text: str, *suffixes: str) -> float:
+    number = text
     for s in suffixes:
         if text.lower().endswith(s.lower()):
-            return float(text[: -len(s)])
-    return float(text)
+            number = text[: -len(s)]
+            break
+    try:
+        value = float(number)
+    except ValueError:
+        raise DomainError(f"cannot read a number from {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{text!r} is not a finite number")
+    return value
 
 
 def cmd_o16(args, config: RunConfig) -> Table:
@@ -255,11 +261,21 @@ def _product_from_spec(spec: str):
     if key in ("second-order-potential", "external-potential-2"):
         return wick.OperatorProduct.external_potential_second_order()
     if key.startswith("current^"):
-        return wick.OperatorProduct.current_product(int(key.split("^")[1]))
+        return wick.OperatorProduct.current_product(_spec_count(spec, key.split("^")[1]))
     if key.startswith("photons:"):
-        return wick.OperatorProduct.photons(int(key.split(":")[1]))
+        return wick.OperatorProduct.photons(_spec_count(spec, key.split(":")[1]))
     raise DomainError(f"unknown product spec {spec!r}; use two-vertex-current, "
                       "second-order-potential, current^N, or photons:N")
+
+
+def _spec_count(spec: str, text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise DomainError(f"bad count in product spec {spec!r}") from None
+    if count < 0:
+        raise DomainError(f"product spec {spec!r} needs a nonnegative count")
+    return count
 
 
 def cmd_wick(args, config: RunConfig) -> Table:
@@ -378,6 +394,14 @@ def _kn_pols():
 # ---------------------------------------------------------------------------
 # Parser assembly.
 
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _common_options() -> argparse.ArgumentParser:
     # SUPPRESS defaults: the options live on the main parser and on every
     # subparser, and a subparser must not overwrite a value already parsed
@@ -387,7 +411,7 @@ def _common_options() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--constants", choices=("1951", "modern"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+    common.add_argument("--alpha", type=finite_float, default=argparse.SUPPRESS)
     common.add_argument("--units", choices=("natural", "SI", "MeV", "megacycles"),
                         default=argparse.SUPPRESS)
     return common
@@ -404,24 +428,24 @@ def build_parser() -> _Parser:
     xsec = add(sub, "xsec", help="differential cross sections")
     xsub = xsec.add_subparsers(dest="process", required=True)
     m = add(xsub, "moller")
-    m.add_argument("--gamma", type=float, required=True)
+    m.add_argument("--gamma", type=finite_float, required=True)
     m.add_argument("--theta-grid", required=True)
     c = add(xsub, "compton")
-    c.add_argument("--eps", type=float, required=True)
+    c.add_argument("--eps", type=finite_float, required=True)
     c.add_argument("--theta-grid", required=True)
-    c.add_argument("--phi", type=float, default=0.0)
+    c.add_argument("--phi", type=finite_float, default=0.0)
     c.add_argument("--unpolarized", action="store_true")
     mo = add(xsub, "mott")
-    mo.add_argument("--energy", type=float, required=True)
-    mo.add_argument("--Z", type=float, default=1.0)
+    mo.add_argument("--energy", type=finite_float, required=True)
+    mo.add_argument("--Z", type=finite_float, default=1.0)
     mo.add_argument("--theta-grid", required=True)
 
     ann = add(sub, "annihilate", help="two-quantum annihilation")
     asub = ann.add_subparsers(dest="which", required=True)
     add(asub, "positronium")
     ar = add(asub, "rate")
-    ar.add_argument("--rho", type=float, default=1.0)
-    ar.add_argument("--v", type=float, default=None)
+    ar.add_argument("--rho", type=finite_float, default=1.0)
+    ar.add_argument("--v", type=finite_float, default=None)
 
     hyd = add(sub, "hydrogen", help="bound-state spectra")
     hsub = hyd.add_subparsers(dest="which", required=True)
@@ -429,18 +453,18 @@ def build_parser() -> _Parser:
     hl.add_argument("--max-N", type=int, default=3)
     hl.add_argument("--expand", action="store_true")
     hb = add(hsub, "landau")
-    hb.add_argument("--B", type=float, required=True)
-    hb.add_argument("--pz", type=float, default=0.0)
+    hb.add_argument("--B", type=finite_float, required=True)
+    hb.add_argument("--pz", type=finite_float, default=0.0)
     hb.add_argument("--M", type=int, default=0)
 
     o16 = add(sub, "o16", help="monopole pair emission")
     o16.add_argument("--deltaE", default="6MeV")
     o16.add_argument("--r0", default="4e-13cm")
-    o16.add_argument("--Z", type=float, default=8.0)
+    o16.add_argument("--Z", type=finite_float, default=8.0)
     o16.add_argument("--spectrum", action="store_true")
 
     vp = add(sub, "vacpol", help="vacuum polarization")
-    vp.add_argument("--q2", type=float, default=0.0)
+    vp.add_argument("--q2", type=finite_float, default=0.0)
     vp.add_argument("--grid", default=None)
 
     ue = add(sub, "uehling")

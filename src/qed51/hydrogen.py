@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import numerics
 from .errors import DomainError, NumericError
 
-BISECT_TOL = 1e-12
-MAX_BISECT = 200
+# Spectroscopic letter of each orbital angular momentum ell = 0, 1, 2, ...
+ORBITAL_LETTERS = "spdfgh"
 
 
 @dataclass(frozen=True)
@@ -190,19 +190,15 @@ def _shoot_mismatch(qn: DiracQuantumNumbers, alpha: float, energy: float) -> flo
     r0 = 1e-3 / a
     powers = r0 ** (eps + np.arange(len(cs)))
     y0 = (float(cs @ powers), float(ds @ powers))
-    out = solve_ivp(rhs, (r0, r_match), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-300)
-    if not out.success:
-        raise NumericError("outward radial integration failed")
-    f_out, g_out = out.y[:, -1]
+    f_out, g_out = numerics.ode_endpoint(rhs, (r0, r_match), y0,
+                                         what="outward radial integration",
+                                         method="DOP853", rtol=1e-12, atol=1e-300)
 
     r_far = 40.0 / a
     y_far = (1.0, math.sqrt(a1 / a2))
-    inward = solve_ivp(rhs, (r_far, r_match), y_far, method="DOP853",
-                       rtol=1e-12, atol=1e-300)
-    if not inward.success:
-        raise NumericError("inward radial integration failed")
-    f_in, g_in = inward.y[:, -1]
+    f_in, g_in = numerics.ode_endpoint(rhs, (r_far, r_match), y_far,
+                                       what="inward radial integration",
+                                       method="DOP853", rtol=1e-12, atol=1e-300)
 
     # Wronskian-like mismatch, normalized to be scale free.
     return (f_out * g_in - f_in * g_out) / math.hypot(f_out, g_out) / math.hypot(f_in, g_in)
@@ -210,8 +206,10 @@ def _shoot_mismatch(qn: DiracQuantumNumbers, alpha: float, energy: float) -> flo
 
 def radial_shoot(qn: DiracQuantumNumbers, alpha: float, energy_guess: float) -> float:
     """Bound-state energy from two-sided shooting on the coupled first-order
-    radial system, bisected to 1e-12 in E/mc^2.  Independent oracle for the
-    closed-form spectrum; seed it with the nonrelativistic estimate."""
+    radial system: a sign change of the mismatch is bracketed around the
+    guess, then refined by Brent's method (brentq) to xtol 1e-13 in
+    E/mc^2.  Independent oracle for the closed-form spectrum; seed it with the
+    nonrelativistic estimate."""
     if not 0.0 < energy_guess < 1.0:
         raise DomainError("energy guess must be inside the bound-state window")
     # bracket by expanding around the guess
@@ -232,19 +230,8 @@ def radial_shoot(qn: DiracQuantumNumbers, alpha: float, energy_guess: float) -> 
             break
     if lo is None:
         raise NumericError("no sign change found bracketing the energy guess")
-    f_lo = _shoot_mismatch(qn, alpha, lo)
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        f_mid = _shoot_mismatch(qn, alpha, mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < BISECT_TOL:
-            break
-    else:
-        raise NumericError("bisection failed to reach tolerance")
-    return 0.5 * (lo + hi)
+    return numerics.root(lambda e: _shoot_mismatch(qn, alpha, e), lo, hi,
+                         xtol=1e-13, what="shooting root search")
 
 
 def landau_levels(b_field: float, p_z: float, m_level: int) -> float:
@@ -260,8 +247,10 @@ def level_table(max_n: int, alpha: float):
     spectroscopic label and degeneracy partners."""
     if max_n < 1:
         raise DomainError("need max N >= 1")
+    if max_n > len(ORBITAL_LETTERS):
+        raise DomainError(f"need max N <= {len(ORBITAL_LETTERS)}: no spectroscopic "
+                          f"letter beyond {ORBITAL_LETTERS[-1]!r}")
     rows = []
-    letters = "spdfgh"
     for big_n in range(1, max_n + 1):
         for k in range(-big_n, big_n + 1):
             if k == 0 or abs(k) > big_n:
@@ -273,7 +262,7 @@ def level_table(max_n: int, alpha: float):
             # Large-component angular momentum: k = +(ell+1) for j = ell+1/2,
             # k = -ell for j = ell-1/2, so the n = 0, k = +1 state is 1s1/2.
             ell = k - 1 if k > 0 else -k
-            label = f"{big_n}{letters[ell]}{int(2 * qn.j)}/2"
+            label = f"{big_n}{ORBITAL_LETTERS[ell]}{int(2 * qn.j)}/2"
             rows.append((big_n, n, k, qn.j, label, dirac_energy(qn, alpha).energy))
     rows.sort(key=lambda r: (r[5], r[0], r[2]))
     return rows

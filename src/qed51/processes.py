@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+from . import numerics
 from .dirac import GAMMA, I4, slash, spur
 from .errors import DomainError, PoleError
 from .kinematics import (ElectronState, FourVector, compton_shift,
@@ -243,10 +243,9 @@ def thomson_total() -> float:
 
 def thomson_total_numeric(eps: float = 0.0) -> float:
     """Numeric solid-angle integral of the unpolarized Klein-Nishina value."""
-    val, err = integrate.quad(
+    return numerics.quad(
         lambda th: kn_dcs(eps, th, unpolarized=True) * math.sin(th) * TWO_PI,
-        0.0, math.pi, limit=200)
-    return val
+        0.0, math.pi, tol=1e-8, what="Thomson solid-angle integral", limit=200)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +445,15 @@ def o16_pair_spectrum(e1: float, theta: float, delta_e: float) -> float:
 
 
 def o16_angular_integral() -> float:
-    val, _ = integrate.quad(lambda th: (1.0 + math.cos(th)) * math.sin(th),
-                            0.0, math.pi)
-    return val
+    return numerics.quad(lambda th: (1.0 + math.cos(th)) * math.sin(th),
+                         0.0, math.pi, tol=1e-8, what="O16 angular integral")
 
 
 def o16_energy_angular_integral(delta_e: float) -> float:
     """The full double integral of the spectrum shape; equals delta_e^5/15."""
-    val, _ = integrate.dblquad(lambda th, e1: o16_pair_spectrum(e1, th, delta_e),
-                               0.0, delta_e, 0.0, math.pi)
-    return val
+    return numerics.dblquad(lambda th, e1: o16_pair_spectrum(e1, th, delta_e),
+                            0.0, delta_e, 0.0, math.pi,
+                            tol=1e-8, what="O16 energy-angle integral")
 
 
 def o16_total_rate(delta_e_mev: float, r0_cm: float, z_charge: float) -> float:
@@ -509,7 +507,8 @@ def dipole_emission_rate_quadrature(q_wavenumber: float, x12: float,
     def integrand(th):
         return (1.0 - math.cos(th) ** 2) * math.sin(th) * TWO_PI
 
-    ang, _ = integrate.quad(integrand, 0.0, math.pi)
+    ang = numerics.quad(integrand, 0.0, math.pi, tol=1e-8,
+                        what="dipole direction integral")
     return q_wavenumber / (8.0 * math.pi**2) * e2 * q_wavenumber**2 * x12**2 * ang
 
 

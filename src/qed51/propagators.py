@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+from . import numerics
 from .dirac import I4, slash
 from .errors import DomainError, NumericError, PoleError
 from .kinematics import FourVector
@@ -65,16 +65,9 @@ def electron_propagator(k: FourVector, mass: float = 1.0,
     return (slash(k) + 1j * mass * I4) / denom_c
 
 
-def _quad_complex(f, a, b, **kw):
-    re, re_err = integrate.quad(lambda t: f(t).real, a, b, **kw)
-    im, im_err = integrate.quad(lambda t: f(t).imag, a, b, **kw)
-    if max(re_err, im_err) > 1e-6 * max(1.0, abs(re), abs(im)):
-        raise NumericError("quadrature failed to converge")
-    return complex(re, im)
-
-
 def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
-    """int_0^1 dz [a z + b (1-z)]^-2, evaluated by adaptive quadrature.
+    """int_0^1 dz [a z + b (1-z)]^-2, evaluated by adaptive quadrature, or by
+    Gauss-Legendre for real endpoints of one sign in exact mode.
 
     Equals 1/(a b) when the segment from b to a avoids the origin.
     """
@@ -83,9 +76,18 @@ def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
         # segment a z + b (1-z) crosses zero iff the endpoints differ in sign
         if a.real == 0.0 or b.real == 0.0 or (a.real > 0) != (b.real > 0):
             raise PoleError("combination denominator crosses zero; supply an i-epsilon")
+        # along the segment D = b r^u with r = a/b, so dz/D^2 = log(r)/(a-b) du/D,
+        # smooth in u for any ratio (du/b^2 when a = b)
+        ar, br = a.real, b.real
+        ratio = ar / br
+        # a - b is exact within a factor 2 (Sterbenz), where log1p keeps log(r) accurate
+        log_r = math.log1p((ar - br) / br) if 0.5 <= ratio <= 2.0 else math.log(ratio)
+        jac = log_r / (ar - br) if ar != br else 1.0 / br
+        return complex(numerics.gauss(lambda u: jac / br * np.exp(-log_r * u), 0.0, 1.0,
+                                      tol=1e-6, what="quadrature"))
     shift = 0.0 if policy.exact else -1j * policy.epsilon
-    return _quad_complex(lambda z: 1.0 / (a * z + b * (1.0 - z) + shift) ** 2,
-                         0.0, 1.0, limit=200)
+    return numerics.quad_complex(lambda z: 1.0 / (a * z + b * (1.0 - z) + shift) ** 2,
+                                 0.0, 1.0, tol=1e-6, what="quadrature", limit=200)
 
 
 def feynman_combine3(a, b, c, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
@@ -100,15 +102,12 @@ def feynman_combine3(a, b, c, policy: IEpsilonPolicy = DEFAULT_POLICY) -> comple
     def inner(x):
         if x == 0.0:
             return 0.0 + 0.0j
-        return _quad_complex(
+        return numerics.quad_complex(
             lambda y: x / (a * (1 - x) + b * x * y + c * x * (1 - y) + shift) ** 3,
-            0.0, 1.0, limit=200)
+            0.0, 1.0, tol=1e-6, what="quadrature", limit=200)
 
-    re, re_err = integrate.quad(lambda x: inner(x).real, 0.0, 1.0, limit=200)
-    im, im_err = integrate.quad(lambda x: inner(x).imag, 0.0, 1.0, limit=200)
-    if max(re_err, im_err) > 1e-6 * max(1.0, abs(re), abs(im)):
-        raise NumericError("2-D quadrature failed to converge")
-    return 2.0 * complex(re, im)
+    return 2.0 * numerics.quad_complex(inner, 0.0, 1.0, tol=1e-6,
+                                       what="2-D quadrature", limit=200)
 
 
 def loop_integral_I(lam: float) -> complex:
@@ -119,12 +118,13 @@ def loop_integral_I(lam: float) -> complex:
 
 
 def loop_integral_I_quadrature(lam: float) -> complex:
-    """Radial oracle: 2 pi^2 i int_0^inf k^3 dk (k^2 + Lambda)^-3."""
+    """Radial oracle: 2 pi^2 i int_0^inf k^3 dk (k^2 + Lambda)^-3.  With
+    k = sqrt(Lambda) t/(1-t) the radial integral is (1/Lambda) times
+    int_0^1 t^3 (1-t) dt/(t^2 + (1-t)^2)^3, smooth on [0, 1]."""
     if lam <= 0:
         raise DomainError("Lambda must be positive")
-    val, err = integrate.quad(lambda k: k**3 / (k**2 + lam) ** 3, 0.0, np.inf, limit=200)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise NumericError("radial loop quadrature failed to converge")
+    val = numerics.gauss(lambda t: t**3 * (1.0 - t) / (t * t + (1.0 - t) ** 2) ** 3,
+                         0.0, 1.0, tol=1e-8, what="radial loop quadrature") / lam
     return 2j * math.pi**2 * val
 
 
@@ -138,11 +138,10 @@ def loop_log_difference(lam: float, lam_prime: float) -> complex:
 def loop_log_difference_quadrature(lam: float, lam_prime: float) -> complex:
     if lam <= 0 or lam_prime <= 0:
         raise DomainError("Lambda values must be positive")
-    val, err = integrate.quad(
+    val = numerics.quad(
         lambda k: k**3 * (1.0 / (k**2 + lam) ** 2 - 1.0 / (k**2 + lam_prime) ** 2),
-        0.0, np.inf, limit=200)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise NumericError("radial loop quadrature failed to converge")
+        0.0, np.inf, tol=1e-8, what="radial loop quadrature",
+        limit=200, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
     return 2j * math.pi**2 * val
 
 
@@ -194,11 +193,9 @@ def principal_value(f, a: float, b: float, pole: float,
         raise DomainError("pole must lie strictly inside the interval")
 
     def excised(h):
-        left, lerr = integrate.quad(f, a, pole - h, limit=400)
-        right, rerr = integrate.quad(f, pole + h, b, limit=400)
-        if max(lerr, rerr) > 1e-7 * max(1.0, abs(left) + abs(right)):
-            raise NumericError("principal-value quadrature failed to converge")
-        return left + right
+        what = "principal-value quadrature"
+        return (numerics.quad(f, a, pole - h, tol=1e-7, what=what, limit=400)
+                + numerics.quad(f, pole + h, b, tol=1e-7, what=what, limit=400))
 
     v1 = excised(half_width)
     v2 = excised(half_width / 2.0)

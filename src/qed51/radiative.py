@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+from . import numerics
 from .constants import Constants, default_profile
-from .errors import DomainError, NumericError
+from .errors import DomainError
+from .hydrogen import ORBITAL_LETTERS
 from .propagators import CutoffQuantity
 
 QUAD_EPS = 1e-12
@@ -40,11 +41,9 @@ class VacPolResult:
 
 def _endpoint_weight_integral(f) -> float:
     """int_0^1 z dz/sqrt(1-z) f(z) with the endpoint removed by z = 1 - t^2."""
-    val, err = integrate.quad(lambda t: 2.0 * (1.0 - t * t) * f(1.0 - t * t),
-                              0.0, 1.0, limit=400, epsabs=QUAD_EPS, epsrel=1e-11)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise NumericError("vacuum-polarization quadrature failed to converge")
-    return val
+    return numerics.quad(lambda t: 2.0 * (1.0 - t * t) * f(1.0 - t * t), 0.0, 1.0,
+                         tol=1e-8, what="vacuum-polarization quadrature",
+                         limit=400, epsabs=QUAD_EPS, epsrel=1e-11)
 
 
 def absorptive_weight(w0: float) -> float:
@@ -116,17 +115,14 @@ def pair_creation_probability_power_route(e2_pol: float, q2: float, q0: float,
         return 0.0
     b_coeff = 0.25 * alpha * q2 * absorptive_weight(-4.0 / q2)
     # E(t) = -q0 e^2 [A sin(qx)cos(qx) + B sin^2(qx)]; average over a period.
-    avg, _ = integrate.quad(
+    avg = numerics.quad(
         lambda s: -q0 * e2_pol * b_coeff * math.sin(s) ** 2 / (2.0 * math.pi),
-        0.0, 2.0 * math.pi, limit=100)
+        0.0, 2.0 * math.pi, tol=1e-8, what="pair-creation power average", limit=100)
     return avg / q0
 
 
 # ---------------------------------------------------------------------------
 # Uehling shift.
-
-ORBITAL_LETTERS = "spdfgh"
-
 
 def _parse_state_label(state: str):
     """Spectroscopic label like '2s' or '3d' -> (n, ell)."""
@@ -164,12 +160,12 @@ def self_energy_constant(cutoff_label: str = "k_max") -> CutoffQuantity:
 
 def self_energy_z_integral(r_value: float) -> float:
     """Quadrature of the z-integral form 2 int dz mu(1+z) * i * 2 i pi^2
-    (R - log z): returns -pi^2 (6R + 5) for the supplied numeric R."""
-    val, err = integrate.quad(
-        lambda z: (1.0 + z) * (r_value - math.log(z)), 0.0, 1.0,
-        limit=200, epsabs=QUAD_EPS)
-    if err > 1e-7 * max(1.0, abs(val)):
-        raise NumericError("self-energy z-integral failed to converge")
+    (R - log z): returns -pi^2 (6R + 5) for the supplied numeric R.  z = u^4
+    turns the logarithm at z = 0 into 4 u^3 (1 + u^4)(R - 4 log u), smooth
+    enough at u = 0 for Gauss-Legendre."""
+    val = numerics.gauss(
+        lambda u: 4.0 * u**3 * (1.0 + u**4) * (r_value - 4.0 * np.log(u)), 0.0, 1.0,
+        tol=1e-7, what="self-energy z-integral")
     return -4.0 * math.pi**2 * val
 
 
@@ -216,10 +212,9 @@ def k_integral_radial(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
         term3 = c_third * (base / 3.0 - 0.5 / root**5 + (5.0 / 6.0) / root**7)
         return k * k * (term1 + term2 + term3)
 
-    val, err = integrate.quad(integrand, r_ir, np.inf, limit=400,
-                              epsabs=QUAD_EPS, epsrel=1e-12)
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise NumericError("radial K-integral quadrature failed to converge")
+    val = numerics.quad(integrand, r_ir, np.inf, tol=1e-9,
+                        what="radial K-integral quadrature",
+                        limit=400, epsabs=QUAD_EPS, epsrel=1e-12)
     return 1.5j * math.pi**2 * val
 
 
@@ -291,10 +286,8 @@ def _subtracted_lambda_integral(cos_theta: float, scheme: str = "adaptive") -> f
         return 2.0 * lam * (_coulomb_lambda_weight(lam, cos_theta) - 1.0) / (1.0 - lam**2)
 
     if scheme == "adaptive":
-        val, err = integrate.quad(f, 0.0, 1.0, limit=400, epsabs=QUAD_EPS, epsrel=1e-12)
-        if err > 1e-8 * max(1.0, abs(val)):
-            raise NumericError("subtracted lambda integral failed to converge")
-        return val
+        return numerics.quad(f, 0.0, 1.0, tol=1e-8, what="subtracted lambda integral",
+                             limit=400, epsabs=QUAD_EPS, epsrel=1e-12)
     if scheme == "gauss":
         nodes, weights = np.polynomial.legendre.leggauss(160)
         x = 0.5 * (nodes + 1.0)

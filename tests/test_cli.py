@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -220,3 +221,32 @@ def test_global_flags_work_in_both_positions():
     assert json.loads(pre)["config"]["alpha"] == 0.008
     assert json.loads(post)["config"]["alpha"] == 0.008
     assert pre == post
+
+
+# Malformed or non-finite numbers on the command line: each must be rejected
+# through the exit-code contract, never by a traceback or a printed nan/inf.
+BAD_NUMBER_ARGV = (
+    ["hydrogen", "levels", "--max-N", "7"],
+    ["vacpol", "--q2", "nan"],
+    ["lamb", "--eav", "nan"],
+    ["wick", "count", "--product", "current^abc"],
+    ["xsec", "compton", "--eps", "nan", "--theta-grid", "0:180:5", "--format", "json"],
+    ["wick", "count", "--product", "photons:-1"],
+    ["o16", "--deltaE", "abcMeV"],
+    ["annihilate", "rate", "--rho", "inf"],
+    ["hydrogen", "landau", "--B", "0.1", "--pz", "inf"],
+    ["xsec", "moller", "--gamma", "inf", "--theta-grid", "10:50:3"],
+    ["xsec", "mott", "--energy", "1.5", "--Z", "nan", "--theta-grid", "30:150:3"],
+)
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBER_ARGV, ids=" ".join)
+def test_bad_numbers_exit_through_the_contract(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (1, 2, 3)
+    assert "Traceback" not in err
+    assert not re.search(r"(?<![A-Za-z_])(nan|inf|infinity)(?![A-Za-z_])", out, re.IGNORECASE)

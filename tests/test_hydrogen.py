@@ -165,6 +165,13 @@ def test_level_table_labels_and_order():
     assert energies == sorted(energies)
 
 
+def test_level_table_stops_at_last_spectroscopic_letter():
+    labels = {r[4] for r in hyd.level_table(6, ALPHA)}
+    assert "6h11/2" in labels
+    with pytest.raises(DomainError):
+        hyd.level_table(7, ALPHA)
+
+
 def test_zalpha_extension_flagged():
     qn = hyd.DiracQuantumNumbers(0, 1)
     with pytest.raises(DomainError):

@@ -71,6 +71,11 @@ def test_feynman_combine2_pole_detection():
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
+def test_feynman_combine2_real_endpoints_any_ratio():
+    for a, b in ((1e-6, 1.0), (1.0, 1e6), (-2.0, -7.0), (3.0, 3.0 + 1e-7), (4.0, 4.0)):
+        assert abs(prop.feynman_combine2(a, b, EXACT) * a * b - 1.0) < 1e-12
+
+
 def test_feynman_combine2_complex_arguments():
     a, b = 1.5 + 0.4j, 0.7 - 0.2j
     assert abs(prop.feynman_combine2(a, b, EXACT) - 1.0 / (a * b)) < 1e-9
@@ -113,6 +118,19 @@ def test_loop_log_difference():
         closed = prop.loop_log_difference(lam, lamp)
         quad = prop.loop_log_difference_quadrature(lam, lamp)
         assert abs(quad - closed) < 1e-8 * max(1.0, abs(closed))
+
+
+def test_loop_quadratures_converge_across_lambda_grid():
+    # QUADPACK is asked for more accuracy than the 1e-8 convergence check
+    # demands, so no draw fails the check while matching the closed form.
+    cases = [(lam, lam * r) for lam in np.geomspace(1e-3, 1e3, 41) for r in (1.5, 5.0, 20.0)]
+    cases += [(1000.0, 5000.0), (10**-2.5, 1.5 * 10**-2.5)]
+    for lam, lam_prime in cases:
+        closed = prop.loop_integral_I(lam)
+        assert abs(prop.loop_integral_I_quadrature(lam) - closed) < 1e-12 * abs(closed)
+        closed = prop.loop_log_difference(lam, lam_prime)
+        quad = prop.loop_log_difference_quadrature(lam, lam_prime)
+        assert abs(quad - closed) < 1e-12 * abs(closed)
 
 
 def test_propagator_analytic_in_epsilon():
