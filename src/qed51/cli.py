@@ -48,7 +48,17 @@ def _fmt_text(value):
     return str(value)
 
 
+def _check_finite(table: Table) -> None:
+    cells = [c for row in table.rows for c in row] + list(table.meta.values())
+    for value in cells:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericError(f"non-finite value {value!r} in the output")
+
+
 def emit(table: Table, config: RunConfig, stream=None) -> None:
+    """Write the table as csv, json or text; raises NumericError, before
+    writing anything, if a float cell or meta value is nan or infinite."""
+    _check_finite(table)
     stream = stream or sys.stdout
     if config.output_format == "csv":
         writer = csv.writer(stream, lineterminator="\n")
@@ -65,7 +75,7 @@ def emit(table: Table, config: RunConfig, stream=None) -> None:
             "rows": table.rows,
             "meta": table.meta,
         }
-        json.dump(doc, stream, indent=2)
+        json.dump(doc, stream, indent=2, allow_nan=False)
         stream.write("\n")
         return
     stream.write(table.title + "\n")
@@ -521,6 +531,9 @@ def main(argv=None) -> int:
         emit(table, config)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError:
+        print("numeric failure: floating-point overflow", file=sys.stderr)
         return 3
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

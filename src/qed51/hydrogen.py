@@ -192,13 +192,13 @@ def _shoot_mismatch(qn: DiracQuantumNumbers, alpha: float, energy: float) -> flo
     y0 = (float(cs @ powers), float(ds @ powers))
     f_out, g_out = numerics.ode_endpoint(rhs, (r0, r_match), y0,
                                          what="outward radial integration",
-                                         method="DOP853", rtol=1e-12, atol=1e-300)
+                                         rtol=1e-12, atol=1e-300)
 
     r_far = 40.0 / a
     y_far = (1.0, math.sqrt(a1 / a2))
     f_in, g_in = numerics.ode_endpoint(rhs, (r_far, r_match), y_far,
                                        what="inward radial integration",
-                                       method="DOP853", rtol=1e-12, atol=1e-300)
+                                       rtol=1e-12, atol=1e-300)
 
     # Wronskian-like mismatch, normalized to be scale free.
     return (f_out * g_in - f_in * g_out) / math.hypot(f_out, g_out) / math.hypot(f_in, g_in)
@@ -208,21 +208,30 @@ def radial_shoot(qn: DiracQuantumNumbers, alpha: float, energy_guess: float) -> 
     """Bound-state energy from two-sided shooting on the coupled first-order
     radial system: a sign change of the mismatch is bracketed around the
     guess, then refined by Brent's method (brentq) to xtol 1e-13 in
-    E/mc^2.  Independent oracle for the closed-form spectrum; seed it with the
-    nonrelativistic estimate."""
+    E/mc^2.  Each mismatch is two LSODA solves (numerics.ode_endpoint) and is
+    evaluated once per energy: brentq reuses the bracket ends the search
+    already solved.  Independent oracle for the closed-form spectrum; seed it
+    with the nonrelativistic estimate."""
     if not 0.0 < energy_guess < 1.0:
         raise DomainError("energy guess must be inside the bound-state window")
+    solved: dict[float, float] = {}
+
+    def mismatch(energy: float) -> float:
+        if energy not in solved:
+            solved[energy] = _shoot_mismatch(qn, alpha, energy)
+        return solved[energy]
+
     # bracket by expanding around the guess
     width = max(alpha**4, 1e-9)
     lo = hi = None
-    f_guess = _shoot_mismatch(qn, alpha, energy_guess)
+    f_guess = mismatch(energy_guess)
     for _ in range(60):
         e_lo = max(1e-6, energy_guess - width)
         e_hi = min(1.0 - 1e-12, energy_guess + width)
-        if _shoot_mismatch(qn, alpha, e_lo) * f_guess < 0:
+        if mismatch(e_lo) * f_guess < 0:
             lo, hi = e_lo, energy_guess
             break
-        if _shoot_mismatch(qn, alpha, e_hi) * f_guess < 0:
+        if mismatch(e_hi) * f_guess < 0:
             lo, hi = energy_guess, e_hi
             break
         width *= 4.0
@@ -230,8 +239,7 @@ def radial_shoot(qn: DiracQuantumNumbers, alpha: float, energy_guess: float) -> 
             break
     if lo is None:
         raise NumericError("no sign change found bracketing the energy guess")
-    return numerics.root(lambda e: _shoot_mismatch(qn, alpha, e), lo, hi,
-                         xtol=1e-13, what="shooting root search")
+    return numerics.root(mismatch, lo, hi, xtol=1e-13, what="shooting root search")
 
 
 def landau_levels(b_field: float, p_z: float, m_level: int) -> float:

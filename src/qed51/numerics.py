@@ -1,21 +1,27 @@
-"""The package's one interface to scipy: checked quadrature, ODE endpoints
-and bracketed root finding, plus a Gauss-Legendre rule that needs no scipy.
+"""The package's one interface to scipy: checked quadrature (QUADPACK), ODE
+endpoints (ODEPACK's LSODA) and bracketed root finding (brentq), plus a
+Gauss-Legendre rule that needs no scipy.
 
 scipy is imported inside each call, never when this module loads, so a
 command that integrates nothing never pays for the import.  Every function
 checks what the solver reports and raises NumericError instead of returning
 an unconverged value.  A quadrature counts as converged when its error
 estimate (QUADPACK's, or for gauss the change from half the nodes) is at
-most tol * max(1, |value|).
+most tol * max(1, |value|); an ODE solve when LSODA reports success.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
 from .errors import NumericError
 
 GAUSS_NODES = 64
+# LSODA step cap per ode_endpoint call.  A radial shooting solve takes up to
+# about 800 steps (N <= 4 at alpha = 0.09), more than odeint's default of 500.
+ODE_MAX_STEPS = 20_000
 
 
 def _check(err: float, scale: float, tol: float, what: str) -> None:
@@ -68,14 +74,24 @@ def dblquad(f, a, b, gfun, hfun, *, tol: float, what: str, **quad_kw) -> float:
     return val
 
 
-def ode_endpoint(rhs, t_span, y0, *, what: str, **ivp_kw):
-    """Final state of scipy.integrate.solve_ivp over t_span."""
+def ode_endpoint(rhs, t_span, y0, *, what: str, **odeint_kw):
+    """Final state of y' = rhs(t, y) from t_span[0] to t_span[1] (either
+    direction) by ODEPACK's LSODA, the compiled order-switching
+    Adams/BDF integrator behind scipy.integrate.odeint, capped at
+    ODE_MAX_STEPS steps.  odeint signals failure (negative istate) only by
+    an ODEintWarning; that becomes NumericError, and no warning from the
+    solve or the right-hand side escapes."""
     from scipy import integrate
 
-    out = integrate.solve_ivp(rhs, t_span, y0, **ivp_kw)
-    if not out.success:
-        raise NumericError(f"{what} failed")
-    return out.y[:, -1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        warnings.simplefilter("error", integrate.ODEintWarning)
+        try:
+            ys = integrate.odeint(rhs, y0, t_span, tfirst=True,
+                                  mxstep=ODE_MAX_STEPS, **odeint_kw)
+        except integrate.ODEintWarning as exc:
+            raise NumericError(f"{what} failed: {exc}") from exc
+    return ys[-1]
 
 
 def root(f, lo: float, hi: float, *, xtol: float, what: str) -> float:

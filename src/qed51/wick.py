@@ -66,7 +66,7 @@ class OperatorProduct:
         return cls(factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pairing:
     """Disjoint index pairs; fermion pairs join one psi_bar with one psi,
     photon pairs join two photon factors, never at the same vertex."""

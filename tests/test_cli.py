@@ -240,6 +240,42 @@ BAD_NUMBER_ARGV = (
 )
 
 
+# Huge finite inputs whose arithmetic overflows: numeric failure, exit 3.
+OVERFLOW_ARGV = (
+    ["xsec", "moller", "--gamma", "1e300", "--theta-grid", "10:50:3"],
+    ["xsec", "compton", "--eps", "1e300", "--theta-grid", "0:180:5"],
+    ["xsec", "mott", "--energy", "1e300", "--theta-grid", "30:150:3"],
+    ["hydrogen", "landau", "--B", "1e308", "--pz", "1e308", "--M", "6"],
+    ["o16", "--deltaE", "1e300MeV"],
+)
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_ARGV, ids=" ".join)
+def test_overflow_exits_three(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_emit_refuses_non_finite_cells_before_writing(fmt, bad):
+    from qed51.constants import RunConfig
+    from qed51.errors import NumericError
+
+    stream = io.StringIO()
+    table = cli.Table("t", ["x", "y"], [[1.0, 2.0], [3.0, bad]])
+    with pytest.raises(NumericError, match="non-finite"):
+        cli.emit(table, RunConfig(output_format=fmt), stream)
+    table = cli.Table("t", ["x"], [[1.0]], meta={"scale": bad})
+    with pytest.raises(NumericError, match="non-finite"):
+        cli.emit(table, RunConfig(output_format=fmt), stream)
+    assert stream.getvalue() == ""
+
+
 @pytest.mark.parametrize("argv", BAD_NUMBER_ARGV, ids=" ".join)
 def test_bad_numbers_exit_through_the_contract(argv, capsys):
     try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qed51 import hydrogen as hyd
+from qed51.constants import ERA_1951, MODERN
 from qed51.errors import DomainError
 
 ALPHA = 1.0 / 137.036
@@ -119,6 +120,41 @@ def test_shooting_matches_closed_form_n_le_2():
         guess = 1.0 - ALPHA**2 / (2.0 * qn.big_n**2)  # nonrelativistic seed
         shot = hyd.radial_shoot(qn, ALPHA, guess)
         assert abs(shot - exact) / exact < 1e-8
+
+
+def _levels_up_to(max_big_n):
+    for big_n in range(1, max_big_n + 1):
+        for k in range(-big_n, big_n + 1):
+            n = big_n - abs(k)
+            if k != 0 and not (n == 0 and k < 0):
+                yield hyd.DiracQuantumNumbers(n, k)
+
+
+@pytest.mark.parametrize("alpha", [MODERN.alpha, ERA_1951.alpha], ids=["modern", "1951"])
+def test_shooting_matches_closed_form_n_le_4(alpha):
+    levels = list(_levels_up_to(4))
+    assert len(levels) == 16
+    for qn in levels:
+        exact = hyd.dirac_energy(qn, alpha).energy
+        guess = 1.0 - alpha**2 / (2.0 * qn.big_n**2)
+        shot = hyd.radial_shoot(qn, alpha, guess)
+        assert abs(shot - exact) / exact < 1e-8, (qn, shot, exact)
+
+
+def test_shooting_solves_each_trial_energy_once(monkeypatch):
+    solved = []
+    mismatch = hyd._shoot_mismatch
+
+    def counted(qn, alpha, energy):
+        solved.append(energy)
+        return mismatch(qn, alpha, energy)
+
+    monkeypatch.setattr(hyd, "_shoot_mismatch", counted)
+    for qn in _levels_up_to(2):
+        solved.clear()
+        hyd.radial_shoot(qn, ALPHA, 1.0 - ALPHA**2 / (2.0 * qn.big_n**2))
+        assert len(solved) > 2
+        assert len(solved) == len(set(solved)), qn
 
 
 def test_shooting_degenerate_pair():

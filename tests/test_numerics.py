@@ -71,3 +71,19 @@ def test_ode_endpoint_raises_when_the_solver_fails():
         with pytest.raises(NumericError, match="blow-up integration failed"):
             numerics.ode_endpoint(lambda t, y: y * y, (0.0, 2.0), [1.0],
                                   what="blow-up integration")
+
+
+def test_ode_endpoint_failure_is_numeric_error_when_warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="blow-up integration failed"):
+            numerics.ode_endpoint(lambda t, y: y * y, (0.0, 2.0), [1.0],
+                                  what="blow-up integration")
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 2.0), (2.0, 0.0)], ids=["forward", "backward"])
+def test_ode_endpoint_integrates_in_either_direction(t_span):
+    t0, t1 = t_span
+    y1 = numerics.ode_endpoint(lambda t, y: -y, t_span, [1.0], what="decay",
+                               rtol=1e-12, atol=1e-300)
+    assert abs(y1[0] - math.exp(t0 - t1)) < 1e-10 * math.exp(t0 - t1)
