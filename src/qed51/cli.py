@@ -264,6 +264,14 @@ def cmd_moment(args, config: RunConfig) -> Table:
                  meta={"experimental": "0.001145 +- 0.000013"})
 
 
+# Largest products the CLI accepts: current^7 has 14,810,880 pairings and
+# photons:12 has 140,152; each counts in about a second.  `wick graphs`
+# draws at most as many graphs as current^6 has pairings.
+MAX_CURRENT_VERTICES = 7
+MAX_PHOTON_FACTORS = 12
+MAX_GRAPHS = 501_600
+
+
 def _product_from_spec(spec: str):
     key = spec.lower()
     if key in ("two-vertex-current", "current^2", "current2"):
@@ -271,20 +279,24 @@ def _product_from_spec(spec: str):
     if key in ("second-order-potential", "external-potential-2"):
         return wick.OperatorProduct.external_potential_second_order()
     if key.startswith("current^"):
-        return wick.OperatorProduct.current_product(_spec_count(spec, key.split("^")[1]))
+        return wick.OperatorProduct.current_product(
+            _spec_count(spec, key.split("^")[1], MAX_CURRENT_VERTICES))
     if key.startswith("photons:"):
-        return wick.OperatorProduct.photons(_spec_count(spec, key.split(":")[1]))
+        return wick.OperatorProduct.photons(
+            _spec_count(spec, key.split(":")[1], MAX_PHOTON_FACTORS))
     raise DomainError(f"unknown product spec {spec!r}; use two-vertex-current, "
                       "second-order-potential, current^N, or photons:N")
 
 
-def _spec_count(spec: str, text: str) -> int:
+def _spec_count(spec: str, text: str, limit: int) -> int:
     try:
         count = int(text)
     except ValueError:
         raise DomainError(f"bad count in product spec {spec!r}") from None
     if count < 0:
         raise DomainError(f"product spec {spec!r} needs a nonnegative count")
+    if count > limit:
+        raise DomainError(f"product spec {spec!r} needs a count <= {limit}")
     return count
 
 
@@ -298,6 +310,9 @@ def cmd_wick(args, config: RunConfig) -> Table:
                          wick.count_graphs_order2_external_potential()])
         return Table(f"Factor pairings of {args.product}",
                      ["quantity", "count"], rows)
+    if len(pairings) > MAX_GRAPHS:
+        raise DomainError(f"product {args.product!r} has {len(pairings)} pairings; "
+                          f"wick graphs draws at most {MAX_GRAPHS}")
     graphs = [wick.to_graph(p, prod, s) for p, s in pairings]
     if args.dot:
         with open(args.dot, "w") as fh:

@@ -2,6 +2,13 @@
 constituents, the graph representation with the seven drawing rules, fermion
 sign bookkeeping, and process classification by external lines.
 
+Every pairing is one fermion option (a set of psi_bar-psi pairs) combined
+with one photon matching, and its sign depends on the fermion option alone.
+``enumerate_pairings`` therefore enumerates the two factors by brute force
+and returns a read-only ``PairingSequence`` over their Cartesian product,
+fermion-major; a ``Pairing`` is built only when an item is read, so counting
+the pairings costs no more than enumerating the two factors.
+
 Purely combinatorial: no amplitude is evaluated.  Each internal line carries
 the momentum-space factor it would contribute as metadata.
 """
@@ -9,6 +16,8 @@ the momentum-space factor it would contribute as metadata.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -117,28 +126,62 @@ def _permutation_sign(perm) -> int:
     return sign
 
 
-def _fermion_sign(prod: OperatorProduct, fermion_pairs) -> int:
+def _fermion_sign(pos, fermion_pairs) -> int:
     """Parity of the permutation of fermion factors from written order to
     the pairs-first order (each pair in written order, unpaired factors
-    after in written order)."""
-    fermion_slots = [i for i, f in enumerate(prod.factors) if f.kind in FERMION_KINDS]
-    paired = set()
-    target = []
-    for (i, j) in sorted(fermion_pairs, key=min):
-        a, b = (i, j) if i < j else (j, i)
-        target += [a, b]
-        paired |= {a, b}
-    target += [i for i in fermion_slots if i not in paired]
-    pos = {slot: n for n, slot in enumerate(fermion_slots)}
-    perm = [pos[slot] for slot in target]
+    after in written order).  ``pos`` maps each fermion slot of the product,
+    in written order, to its position among the fermion factors.  Moving a
+    pair past another pair is an even permutation, so the order in which the
+    pairs are listed does not change the sign."""
+    perm = []
+    for (i, j) in fermion_pairs:
+        perm += (pos[i], pos[j]) if i < j else (pos[j], pos[i])
+    paired = {i for pair in fermion_pairs for i in pair}
+    perm += [n for slot, n in pos.items() if slot not in paired]
     return _permutation_sign(perm)
 
 
-def enumerate_pairings(prod: OperatorProduct):
+class PairingSequence(Sequence):
+    """Read-only sequence of ``(Pairing, sign)``: every fermion option
+    combined with every photon matching, fermion-major (item ``i`` is
+    fermion option ``i // len(photons)`` with photon matching
+    ``i % len(photons)``).  Each ``Pairing`` is built when it is read."""
+
+    __slots__ = ("_fermions", "_signs", "_photons")
+
+    def __init__(self, fermions, signs, photons):
+        self._fermions = fermions
+        self._signs = signs
+        self._photons = photons
+
+    def __len__(self):
+        return len(self._fermions) * len(self._photons)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("pairing index out of range")
+        f, p = divmod(i, len(self._photons))
+        return Pairing(self._fermions[f], self._photons[p]), self._signs[f]
+
+    def __iter__(self):
+        for fpairs, sign in zip(self._fermions, self._signs):
+            for ppairs in self._photons:
+                yield Pairing(fpairs, ppairs), sign
+
+
+def enumerate_pairings(prod: OperatorProduct) -> PairingSequence:
     """All factor-pairings of the product (empty pairing included), each with
-    its fermion-permutation sign.  Pairs join one psi_bar with one psi or two
-    photon factors; factors at the same vertex are never paired (rule 7);
-    external-potential factors are classical and never pair."""
+    its fermion-permutation sign, as a lazy ``PairingSequence`` in
+    fermion-major order: every photon matching of the first fermion option,
+    then of the next.  Pairs join one psi_bar with one psi (stored as
+    ``(psi_bar_index, psi_index)``) or two photon factors; factors at the
+    same vertex are never paired (rule 7); external-potential factors are
+    classical and never pair."""
     bars = [i for i, f in enumerate(prod.factors) if f.kind == PSI_BAR]
     psis = [i for i, f in enumerate(prod.factors) if f.kind == PSI]
     photons = [i for i, f in enumerate(prod.factors) if f.kind == PHOTON]
@@ -152,16 +195,9 @@ def enumerate_pairings(prod: OperatorProduct):
                 if all(vertices[b] != vertices[p] for b, p in pairs):
                     fermion_options.append(pairs)
 
-    photon_options = _photon_matchings(photons, vertices)
-
-    out = []
-    for fpairs in fermion_options:
-        sign = _fermion_sign(prod, [(b, p) for b, p in fpairs])
-        for ppairs in photon_options:
-            # store fermion pairs as (psi_bar_index, psi_index)
-            out.append((Pairing(fermion_pairs=tuple(fpairs),
-                                photon_pairs=tuple(ppairs)), sign))
-    return out
+    pos = {slot: n for n, slot in enumerate(sorted(bars + psis))}
+    signs = [_fermion_sign(pos, fpairs) for fpairs in fermion_options]
+    return PairingSequence(fermion_options, signs, _photon_matchings(photons, vertices))
 
 
 @dataclass

@@ -163,6 +163,27 @@ def test_wick_count_second_order():
     assert rows["order-2 external-potential graphs"] == "9"
 
 
+@pytest.mark.parametrize("product, limit", [("current^8", "<= 7"), ("photons:13", "<= 12")])
+def test_wick_product_size_limit_exits_two(product, limit, capsys):
+    code = cli.main(["wick", "count", "--product", product])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: ") and limit in err
+
+
+def test_wick_graphs_pairing_limit_exits_two_before_drawing(monkeypatch, capsys):
+    def no_graphs(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli.wick, "to_graph", no_graphs)
+    code = cli.main(["wick", "graphs", "--product", "current^7"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "14810880 pairings" in err and "at most 501600" in err
+
+
 def test_hydrogen_landau_command():
     code, out = run(["hydrogen", "landau", "--B", "0.2", "--pz", "0", "--M", "0",
                      "--format", "csv"])

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from qed51 import wick
@@ -210,3 +213,104 @@ def test_dot_export_structure():
 def test_factor_validation():
     with pytest.raises(DomainError):
         wick.Factor("graviton", 1)
+
+
+def _nested_loop_reference(prod):
+    """The pairings built eagerly by a nested fermion x photon loop, each
+    sign from the pairs-first permutation of the fermion factors."""
+    factors = prod.factors
+    bars = [i for i, f in enumerate(factors) if f.kind == wick.PSI_BAR]
+    psis = [i for i, f in enumerate(factors) if f.kind == wick.PSI]
+    photons = [i for i, f in enumerate(factors) if f.kind == wick.PHOTON]
+    vertices = {i: f.vertex for i, f in enumerate(factors)}
+    fermion_slots = [i for i, f in enumerate(factors) if f.kind in wick.FERMION_KINDS]
+
+    fermion_options = [()]
+    for size in range(1, min(len(bars), len(psis)) + 1):
+        for bar_subset in itertools.combinations(bars, size):
+            for psi_perm in itertools.permutations(psis, size):
+                pairs = tuple(zip(bar_subset, psi_perm))
+                if all(vertices[b] != vertices[p] for b, p in pairs):
+                    fermion_options.append(pairs)
+
+    def sign_of(fpairs):
+        target, paired = [], set()
+        for i, j in sorted(fpairs, key=min):
+            target += sorted((i, j))
+            paired |= {i, j}
+        target += [i for i in fermion_slots if i not in paired]
+        perm = [fermion_slots.index(slot) for slot in target]
+        inversions = sum(perm[a] > perm[b]
+                         for a in range(len(perm)) for b in range(a + 1, len(perm)))
+        return -1 if inversions % 2 else 1
+
+    out = []
+    for fpairs in fermion_options:
+        sign = sign_of(fpairs)
+        for ppairs in wick._photon_matchings(photons, vertices):
+            out.append((wick.Pairing(fermion_pairs=fpairs, photon_pairs=ppairs), sign))
+    return out
+
+
+REFERENCE_PRODUCTS = {
+    **{f"current^{n}": wick.OperatorProduct.current_product(n) for n in (2, 3, 4)},
+    "second-order-potential": wick.OperatorProduct.external_potential_second_order(),
+    **{f"photons:{n}": wick.OperatorProduct.photons(n) for n in range(7)},
+    "single-psi": wick.OperatorProduct([(wick.PSI, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_PRODUCTS)
+def test_pairings_match_nested_loop_reference(name):
+    prod = REFERENCE_PRODUCTS[name]
+    pairings = wick.enumerate_pairings(prod)
+    reference = _nested_loop_reference(prod)
+    assert len(pairings) == len(reference)
+    assert list(pairings) == reference
+
+
+def test_pairing_sequence_indexing():
+    # current^4: 108 fermion options x 10 photon matchings
+    pairings = wick.enumerate_pairings(wick.OperatorProduct.current_product(4))
+    eager = list(pairings)
+    n = len(eager)
+    assert n == 1080
+    for k in (0, 1, 9, 10, 11, n // 2, n - 1, -1, -2, -10, -11, -n):
+        assert pairings[k] == eager[k]
+    for sl in (slice(7, 43), slice(-100, None, 7), slice(None, None, -1), slice(5, 5)):
+        assert pairings[sl] == eager[sl]
+    for k in (n, n + 1, -n - 1):
+        with pytest.raises(IndexError):
+            pairings[k]
+    with pytest.raises(TypeError):
+        pairings[1.0]
+
+
+def test_counting_current6_builds_no_pairing(monkeypatch):
+    built, original = [], wick.Pairing
+
+    def counting_pairing(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wick, "Pairing", counting_pairing)
+    pairings = wick.enumerate_pairings(wick.OperatorProduct.current_product(6))
+    assert len(pairings) == 501600
+    assert built == []
+    pairings[-1]
+    assert built == [1]
+
+
+def test_current7_count_is_telephone_times_fermion_count():
+    # T(7) = 232 partial photon matchings (OEIS A000085); F(7) partial
+    # psi_bar-psi matchings with no same-vertex pair, by inclusion-exclusion
+    n = 7
+    telephone = [1, 1]
+    for m in range(2, n + 1):
+        telephone.append(telephone[-1] + (m - 1) * telephone[-2])
+    fermion = sum((-1) ** j * math.comb(n, j) * math.comb(n - j, k - j) ** 2
+                  * math.factorial(k - j)
+                  for k in range(n + 1) for j in range(k + 1))
+    assert (telephone[n], fermion) == (232, 63840)
+    assert len(wick.enumerate_pairings(wick.OperatorProduct.current_product(n))) \
+        == 232 * 63840 == 14810880
