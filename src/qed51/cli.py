@@ -8,6 +8,7 @@ stdout carries data; stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -313,16 +314,16 @@ def cmd_wick(args, config: RunConfig) -> Table:
     if len(pairings) > MAX_GRAPHS:
         raise DomainError(f"product {args.product!r} has {len(pairings)} pairings; "
                           f"wick graphs draws at most {MAX_GRAPHS}")
-    graphs = [wick.to_graph(p, prod, s) for p, s in pairings]
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            for i, g in enumerate(graphs):
-                fh.write(wick.to_dot(g, name=f"G{i + 1}") + "\n")
+    # Each graph is built once and dropped after its DOT text and row.
     rows = []
-    for i, g in enumerate(graphs):
-        fermions, photons = g.external_signature()
-        rows.append([f"G{i + 1}", g.sign, len(g.electron_lines), len(g.photon_lines),
-                     fermions, photons, ",".join(sorted(wick.classify(g)))])
+    with open(args.dot, "w") if args.dot else contextlib.nullcontext() as dot:
+        for i, (p, s) in enumerate(pairings, 1):
+            g = wick.to_graph(p, prod, s)
+            if dot:
+                dot.write(wick.to_dot(g, name=f"G{i}") + "\n")
+            fermions, photons = g.external_signature()
+            rows.append([f"G{i}", g.sign, len(g.electron_lines), len(g.photon_lines),
+                         fermions, photons, ",".join(sorted(wick.classify(g)))])
     return Table(f"Graphs for {args.product}" + (f" (DOT written to {args.dot})" if args.dot else ""),
                  ["graph", "sign", "e-lines", "ph-lines", "ext-fermions",
                   "ext-photons", "class"], rows)

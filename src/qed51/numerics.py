@@ -5,14 +5,16 @@ Gauss-Legendre rule that needs no scipy.
 scipy is imported inside each call, never when this module loads, so a
 command that integrates nothing never pays for the import.  Every function
 checks what the solver reports and raises NumericError instead of returning
-an unconverged value.  A quadrature counts as converged when its error
-estimate (QUADPACK's, or for gauss the change from half the nodes) is at
-most tol * max(1, |value|); an ODE solve when LSODA reports success.
+an unconverged value or letting a solver warning reach stderr.  A quadrature
+counts as converged when its error estimate (QUADPACK's, or for gauss the
+change from half the nodes) is at most tol * max(1, |value|) and QUADPACK
+issued no IntegrationWarning; an ODE solve when LSODA reports success.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,11 +46,24 @@ def gauss(f, a: float, b: float, *, tol: float, what: str) -> float:
     return val
 
 
-def quad(f, a, b, *, tol: float, what: str, **quad_kw) -> float:
-    """scipy.integrate.quad of a real integrand, checked against tol."""
+@contextmanager
+def _quadpack(what: str):
+    """scipy.integrate, with QUADPACK's IntegrationWarning (subdivision
+    limit, roundoff, divergence) raised as NumericError instead of printed."""
     from scipy import integrate
 
-    val, err = integrate.quad(f, a, b, **quad_kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            yield integrate
+        except integrate.IntegrationWarning as exc:
+            raise NumericError(f"{what} failed to converge: {exc}") from exc
+
+
+def quad(f, a, b, *, tol: float, what: str, **quad_kw) -> float:
+    """scipy.integrate.quad of a real integrand, checked against tol."""
+    with _quadpack(what) as integrate:
+        val, err = integrate.quad(f, a, b, **quad_kw)
     _check(err, abs(val), tol, what)
     return val
 
@@ -56,10 +71,9 @@ def quad(f, a, b, *, tol: float, what: str, **quad_kw) -> float:
 def quad_complex(f, a, b, *, tol: float, what: str, **quad_kw) -> complex:
     """Real and imaginary parts of a complex integrand by two quad calls;
     the larger error estimate is checked against the larger part."""
-    from scipy import integrate
-
-    re, re_err = integrate.quad(lambda t: f(t).real, a, b, **quad_kw)
-    im, im_err = integrate.quad(lambda t: f(t).imag, a, b, **quad_kw)
+    with _quadpack(what) as integrate:
+        re, re_err = integrate.quad(lambda t: f(t).real, a, b, **quad_kw)
+        im, im_err = integrate.quad(lambda t: f(t).imag, a, b, **quad_kw)
     _check(max(re_err, im_err), max(abs(re), abs(im)), tol, what)
     return complex(re, im)
 
@@ -67,9 +81,8 @@ def quad_complex(f, a, b, *, tol: float, what: str, **quad_kw) -> complex:
 def dblquad(f, a, b, gfun, hfun, *, tol: float, what: str, **quad_kw) -> float:
     """scipy.integrate.dblquad, f(y, x) over a <= x <= b and
     gfun(x) <= y <= hfun(x), checked against tol."""
-    from scipy import integrate
-
-    val, err = integrate.dblquad(f, a, b, gfun, hfun, **quad_kw)
+    with _quadpack(what) as integrate:
+        val, err = integrate.dblquad(f, a, b, gfun, hfun, **quad_kw)
     _check(err, abs(val), tol, what)
     return val
 

@@ -39,13 +39,6 @@ class VacPolResult:
     threshold_open: bool
 
 
-def _endpoint_weight_integral(f) -> float:
-    """int_0^1 z dz/sqrt(1-z) f(z) with the endpoint removed by z = 1 - t^2."""
-    return numerics.quad(lambda t: 2.0 * (1.0 - t * t) * f(1.0 - t * t), 0.0, 1.0,
-                         tol=1e-8, what="vacuum-polarization quadrature",
-                         limit=400, epsabs=QUAD_EPS, epsrel=1e-11)
-
-
 def absorptive_weight(w0: float) -> float:
     """int_{w0}^1 z dz/sqrt(1-z) = (2/3)(w0+2) sqrt(1-w0) for 0 <= w0 <= 1.
 
@@ -58,19 +51,83 @@ def absorptive_weight(w0: float) -> float:
     return (2.0 / 3.0) * (w0 + 2.0) * math.sqrt(1.0 - w0)
 
 
+# Below |q^2/mu^2| = VACPOL_SERIES_Q the closed form loses digits to the
+# cancellation of its 1/Q terms, so the Taylor series is summed instead.  Its
+# coefficients c_n = ((n+1)!)^2 / (n (2n+3)!) fall by about 4 per term, so
+# the 30 kept here leave a remainder below 1e-17 relative.
+VACPOL_SERIES_Q = 1.0
+_VACPOL_SERIES = tuple(math.factorial(n + 1) ** 2 / (n * math.factorial(2 * n + 3))
+                       for n in range(1, 31))
+
+
+def _in_phase_integral(q2: float) -> float:
+    """I(Q) = int_0^1 z/sqrt(1-z) log|1 + z Q/4| dz in closed form.
+
+    With z = 4x(1-x), I = 8 J and J = int_0^1 x(1-x) log|1 + Q x(1-x)| dx
+    = -5/18 + 2/(3Q) + (1/6)(1 - 2/Q) beta L, beta = sqrt(1 + 4/Q).  Branches:
+    - Q > 0 or Q <= -4: L = 2 log1p(beta) - log|4/Q| (no cancellation in
+      1 - beta at large |Q|; beta L -> 0 at the pair threshold Q = -4);
+    - -4 < Q < 0, beta imaginary: beta L = 2 b atan(1/b), b = sqrt(-1 - 4/Q);
+    - |Q| < VACPOL_SERIES_Q: J = sum_n (-1)^(n+1) Q^n ((n+1)!)^2 / (n (2n+3)!);
+    - Q = 0: exactly 0.0.
+    At large |Q|, I -> (4/3) log|Q| - 20/9 + 8/Q.
+    """
+    if q2 == 0.0:
+        return 0.0
+    if abs(q2) < VACPOL_SERIES_Q:
+        acc = 0.0
+        for c in reversed(_VACPOL_SERIES):
+            acc = acc * -q2 + c
+        return 8.0 * q2 * acc
+    # 1 + 4/Q is formed as (Q + 4)/Q, exact near the threshold Q = -4.
+    if q2 > 0.0 or q2 <= -4.0:
+        beta = math.sqrt((q2 + 4.0) / q2)
+        beta_l = beta * (2.0 * math.log1p(beta) - math.log(abs(4.0 / q2)))
+    else:
+        b = math.sqrt((q2 + 4.0) / -q2)
+        beta_l = 2.0 * b * math.atan(1.0 / b)
+    return 8.0 * (-5.0 / 18.0 + 2.0 / (3.0 * q2) + (1.0 - 2.0 / q2) * beta_l / 6.0)
+
+
 def vacuum_polarization(q2_over_mu2: float, alpha: float | None = None) -> VacPolResult:
     """Finite, observable part of the induced vacuum current for a Fourier
-    component of momentum q; a function of q^2 only."""
+    component of momentum q; a function of q^2 only.
+
+    The in-phase coefficient is (alpha/4 pi) I(q^2/mu^2), with I the closed
+    form of Schwinger (1949) and Uehling (1935) on three branches: spacelike
+    or above the pair threshold (q^2 > 0 or q^2 <= -4 mu^2), timelike below
+    it (-4 mu^2 < q^2 < 0, an arctangent), and its Taylor series for small
+    |q^2|.  vacuum_polarization_quadrature is its oracle; no quadrature runs
+    here.  The out-of-phase coefficient is nonzero only once the pair
+    threshold is open, q^2 < -4 mu^2.
+    """
     alpha = default_profile().alpha if alpha is None else alpha
-    q2 = q2_over_mu2
-    in_phase = alpha / (4.0 * math.pi) * _endpoint_weight_integral(
-        lambda z: math.log(abs(1.0 + z * q2 / 4.0)) if abs(1.0 + z * q2 / 4.0) > 0 else 0.0)
-    threshold_open = q2 < -4.0
+    in_phase = alpha / (4.0 * math.pi) * _in_phase_integral(q2_over_mu2)
+    threshold_open = q2_over_mu2 < -4.0
     out_phase = 0.0
     if threshold_open:
-        out_phase = alpha / 4.0 * absorptive_weight(-4.0 / q2)
+        out_phase = alpha / 4.0 * absorptive_weight(-4.0 / q2_over_mu2)
     return VacPolResult(in_phase=in_phase, out_phase=out_phase,
                         threshold_open=threshold_open)
+
+
+def vacuum_polarization_quadrature(q2_over_mu2: float, alpha: float | None = None) -> float:
+    """Oracle for the in-phase coefficient of vacuum_polarization: the same
+    (alpha/4 pi) int_0^1 z dz/sqrt(1-z) log|1 + z q^2/4 mu^2| by adaptive
+    QUADPACK quadrature, with the endpoint removed by z = 1 - t^2 and the
+    logarithm's zero-argument point skipped.  Loads scipy; the closed form
+    never calls it."""
+    alpha = default_profile().alpha if alpha is None else alpha
+    q2 = q2_over_mu2
+
+    def log_term(z):
+        arg = abs(1.0 + z * q2 / 4.0)
+        return math.log(arg) if arg > 0 else 0.0
+
+    integral = numerics.quad(lambda t: 2.0 * (1.0 - t * t) * log_term(1.0 - t * t), 0.0, 1.0,
+                             tol=1e-8, what="vacuum-polarization quadrature",
+                             limit=400, epsabs=QUAD_EPS, epsrel=1e-11)
+    return alpha / (4.0 * math.pi) * integral
 
 
 def vacuum_polarization_small_q(q2_over_mu2: float, alpha: float | None = None) -> float:

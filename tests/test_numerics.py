@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -12,25 +14,40 @@ from qed51 import numerics
 from qed51.errors import NumericError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_scipy_is_imported_only_by_commands_that_integrate():
+def readme_cli_examples():
+    """argv of every `qed51 ...` example line in the README, comments dropped."""
+    return [shlex.split(line.partition("#")[0])[1:]
+            for line in README.read_text().splitlines() if line.startswith("qed51 ")]
+
+
+def test_readme_cli_examples_leave_scipy_unloaded(tmp_path):
+    examples = readme_cli_examples()
+    assert ["vacpol", "--grid=-8:4:25", "--format", "csv"] in examples
+    assert ["verify", "all"] in examples
     script = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 import qed51.cli as cli
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["lamb", "--budget"], ["moment"], ["hydrogen", "levels"], ["verify", "all"]):
-        assert cli.main(argv) == 0
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    assert code == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["vacpol", "--q2", "-10"]) == 0
+from qed51 import radiative
+radiative.vacuum_polarization_quadrature(-10.0)
 print("scipy.integrate" in sys.modules)
 """
-    res = subprocess.run([sys.executable, "-c", script],
-                         env=dict(os.environ, PYTHONPATH=str(SRC)),
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(examples)],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["[]", "True"]
+    # the quadrature oracle is the positive control: it does load scipy
+    assert res.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
 def test_quad_returns_a_converged_value():
@@ -43,6 +60,25 @@ def test_quad_raises_when_the_error_estimate_misses_tol():
         with pytest.raises(NumericError, match="oscillatory integral failed to converge"):
             numerics.quad(lambda x: math.sin(1.0 / x) / x, 1e-9, 1.0,
                           tol=1e-8, what="oscillatory integral", limit=5)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("integrate", [
+    lambda: numerics.quad(lambda x: math.sin(1.0 / x), 0.0, 1.0, tol=1.0,
+                          what="oscillatory integral", limit=5),
+    lambda: numerics.quad_complex(lambda x: complex(math.sin(1.0 / x), 1.0), 0.0, 1.0,
+                                  tol=1.0, what="oscillatory integral", limit=5),
+    lambda: numerics.dblquad(lambda y, x: math.sin(1.0 / x), 0.0, 1.0, 0.0, 1.0,
+                             tol=1.0, what="oscillatory integral"),
+], ids=["quad", "quad_complex", "dblquad"])
+def test_integration_warning_is_numeric_error(integrate, action):
+    # tol = 1 lets the error estimate pass the check, so only QUADPACK's
+    # subdivision-limit warning (50 subintervals for dblquad) can fail the
+    # call, whatever the caller's warning filter says
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(NumericError, match="oscillatory integral failed to converge"):
+            integrate()
 
 
 def test_gauss_returns_a_converged_value():
