@@ -24,6 +24,8 @@ from .errors import DomainError
 # Laboratory anchors (Hz).
 RYDBERG_HZ = 3.289842e15
 MC2_HZ_MODERN = 1.235590e20
+# Speed of light in cm/s (exact by the SI definition of the metre).
+C_CM_S = 2.99792458e10
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,7 @@ class Constants:
     @property
     def r0_cm(self) -> float:
         """Classical electron radius alpha*hbar/(m c) in cm."""
-        c_cm_s = 2.99792458e10
-        return self.alpha * c_cm_s * self.hbar_over_mc2_s
+        return self.alpha * C_CM_S * self.hbar_over_mc2_s
 
     def frequency_mc(self, energy_natural: float) -> float:
         """Convert an energy in units of mc^2 to a frequency in megacycles."""

@@ -8,13 +8,14 @@ checks what the solver reports and raises NumericError instead of returning
 an unconverged value or letting a solver warning reach stderr.  A quadrature
 counts as converged when its error estimate (QUADPACK's, or for gauss the
 change from half the nodes) is at most tol * max(1, |value|) and QUADPACK
-issued no IntegrationWarning; an ODE solve when LSODA reports success.
+reported no failure; an ODE solve when LSODA reports success.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,17 +28,29 @@ ODE_MAX_STEPS = 20_000
 
 
 def _check(err: float, scale: float, tol: float, what: str) -> None:
-    if err > tol * max(1.0, scale):
+    # a nan or infinite value or error estimate fails the check as well
+    if not (math.isfinite(scale) and err <= tol * max(1.0, scale)):
         raise NumericError(f"{what} failed to converge")
+
+
+@functools.cache
+def _legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+    Every gauss call shares them, so they are read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def gauss(f, a: float, b: float, *, tol: float, what: str) -> float:
     """GAUSS_NODES-point Gauss-Legendre rule on [a, b], checked against the
     rule with half as many nodes; f maps a numpy array of nodes to values.
     For integrands smooth on the closed interval (map endpoint singularities
-    and infinite ranges away first); numpy only, so it never loads scipy."""
+    and infinite ranges away first); numpy only, so it never loads scipy.
+    The package's only Gauss rule; its nodes are cached per n."""
     def rule(n):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = _legendre(n)
         half = 0.5 * (b - a)
         return half * float(np.dot(weights, f(a + half * (nodes + 1.0))))
 
@@ -46,24 +59,22 @@ def gauss(f, a: float, b: float, *, tol: float, what: str) -> float:
     return val
 
 
-@contextmanager
-def _quadpack(what: str):
-    """scipy.integrate, with QUADPACK's IntegrationWarning (subdivision
-    limit, roundoff, divergence) raised as NumericError instead of printed."""
+def _quad(f, a, b, what: str, quad_kw) -> tuple[float, float]:
+    """One scipy.integrate.quad call.  With full_output QUADPACK returns its
+    failure message (subdivision limit, roundoff, divergence) as a fourth
+    element instead of issuing an IntegrationWarning, so no process-global
+    warning filter is touched; the message becomes NumericError."""
     from scipy import integrate
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            yield integrate
-        except integrate.IntegrationWarning as exc:
-            raise NumericError(f"{what} failed to converge: {exc}") from exc
+    val, err, _info, *failure = integrate.quad(f, a, b, full_output=1, **quad_kw)
+    if failure:
+        raise NumericError(f"{what} failed to converge: {failure[0]}")
+    return val, err
 
 
 def quad(f, a, b, *, tol: float, what: str, **quad_kw) -> float:
     """scipy.integrate.quad of a real integrand, checked against tol."""
-    with _quadpack(what) as integrate:
-        val, err = integrate.quad(f, a, b, **quad_kw)
+    val, err = _quad(f, a, b, what, quad_kw)
     _check(err, abs(val), tol, what)
     return val
 
@@ -71,18 +82,25 @@ def quad(f, a, b, *, tol: float, what: str, **quad_kw) -> float:
 def quad_complex(f, a, b, *, tol: float, what: str, **quad_kw) -> complex:
     """Real and imaginary parts of a complex integrand by two quad calls;
     the larger error estimate is checked against the larger part."""
-    with _quadpack(what) as integrate:
-        re, re_err = integrate.quad(lambda t: f(t).real, a, b, **quad_kw)
-        im, im_err = integrate.quad(lambda t: f(t).imag, a, b, **quad_kw)
+    re, re_err = _quad(lambda t: f(t).real, a, b, what, quad_kw)
+    im, im_err = _quad(lambda t: f(t).imag, a, b, what, quad_kw)
     _check(max(re_err, im_err), max(abs(re), abs(im)), tol, what)
     return complex(re, im)
 
 
 def dblquad(f, a, b, gfun, hfun, *, tol: float, what: str, **quad_kw) -> float:
     """scipy.integrate.dblquad, f(y, x) over a <= x <= b and
-    gfun(x) <= y <= hfun(x), checked against tol."""
-    with _quadpack(what) as integrate:
-        val, err = integrate.dblquad(f, a, b, gfun, hfun, **quad_kw)
+    gfun(x) <= y <= hfun(x), checked against tol.  dblquad has no
+    full_output, so its IntegrationWarning is raised under a temporary
+    warning filter and becomes NumericError."""
+    from scipy import integrate
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            val, err = integrate.dblquad(f, a, b, gfun, hfun, **quad_kw)
+        except integrate.IntegrationWarning as exc:
+            raise NumericError(f"{what} failed to converge: {exc}") from exc
     _check(err, abs(val), tol, what)
     return val
 

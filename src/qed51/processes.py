@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
+from .constants import C_CM_S
 from .dirac import GAMMA, I4, slash, spur
 from .errors import DomainError, PoleError
 from .kinematics import (ElectronState, FourVector, compton_shift,
@@ -479,8 +480,7 @@ def o16_lifetime(delta_e_mev: float = 6.0, r0_cm: float = 4e-13,
     (Z e^2/hbar c ~ 1/17, dE r0/hbar c ~ 1/10, tau = 10^10 r0/c);
     mode="exact" inverts the closed-form rate."""
     if mode == "rounded":
-        c_cm_s = 2.99792458e10
-        return 15.0 * 25.0 * math.pi * 1e5 * 17.0**2 * 0.25 * (r0_cm / c_cm_s)
+        return 15.0 * 25.0 * math.pi * 1e5 * 17.0**2 * 0.25 * (r0_cm / C_CM_S)
     if mode == "exact":
         return 1.0 / o16_total_rate(delta_e_mev, r0_cm, z_charge)
     raise DomainError(f"unknown mode {mode!r}")

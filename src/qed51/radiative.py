@@ -328,46 +328,80 @@ def observable_scattering_probability(split_r: float, detector_de: float,
 # ---------------------------------------------------------------------------
 # Total (radiative + nonradiative) cross-section correction.
 
-def _coulomb_lambda_weight(lam: float, cos_theta: float) -> float:
+def _coulomb_lambda_weight(x, q2: float):
     """g(lam) = lam q^2/|q_lam|^2 for the Coulomb form factor, normalized to
-    g(1) = 1."""
-    return lam * (2.0 - 2.0 * cos_theta) / (1.0 + lam * lam - 2.0 * lam * cos_theta)
+    g(1) = 1, at lam = 1 - x: |q_lam|^2 = x^2 + lam q^2 in units of p^2, with
+    q^2 = 4 sin^2(theta/2).  Taking x and q^2, not lam and cos(theta), keeps
+    the peak at lam = 1 (width about theta) free of cancellation at small
+    theta.  x is a float or a numpy array."""
+    lam = 1.0 - x
+    return lam * q2 / (x * x + lam * q2)
 
 
-def _subtracted_lambda_integral(cos_theta: float, scheme: str = "adaptive") -> float:
-    """int_0^1 (2 lam/(1-lam^2)) (g(lam) - 1) d lam, finite by construction."""
+def _subtracted_lambda_integral(theta: float, scheme: str = "closed") -> float:
+    """I(theta) = int_0^1 (2 lam/(1-lam^2)) (g(lam) - 1) d lam for
+    0 < theta <= pi, finite by construction.
 
-    def f(lam):
-        if lam >= 1.0:
-            return _d_g(cos_theta)
-        return 2.0 * lam * (_coulomb_lambda_weight(lam, cos_theta) - 1.0) / (1.0 - lam**2)
+    scheme="closed" gives the result.  Partial fractions of the rational
+    integrand give I = [2 ln 2 + c ln(2(1-c)) - (pi-theta) sin theta]/(1+c),
+    c = cos(theta), which loses digits as theta -> pi.  It is evaluated in
+    the half-angle form I = 2 ln 2 + (c ln S - (pi-theta) S C)/C^2, with
+    S = sin(theta/2) and C = sin((pi-theta)/2), which tends to
+    I(pi) = 2 ln 2 - 3/2; ln S is taken as log1p(-C^2)/2 when S > 0.7.  No
+    quadrature, no scipy.
 
+    The two oracle routes integrate the definitional integrand, with g from
+    _coulomb_lambda_weight, in x = 1 - lam, so they check the algebra behind
+    the closed form.  Neither evaluates the removable 0/0 at x = 0.
+    - "adaptive": QUADPACK (numerics.quad, tol 1e-8), for theta >= 1e-100;
+      below about 1e-120 it raises NumericError.
+    - "gauss": numerics.gauss (tol 1e-10), for theta >= 0.1.  The integrand
+      peaks at lam = 1 with a width of about theta, so below about 0.07 the
+      64- and 32-node rules disagree and it raises NumericError instead of
+      returning an unchecked value.
+    """
+    if scheme == "closed":
+        sin_half = math.sin(0.5 * theta)
+        cos_half = math.sin(0.5 * (math.pi - theta))
+        if cos_half == 0.0:  # theta = pi
+            return 2.0 * math.log(2.0) - 1.5
+        if sin_half > 0.7:
+            log_sin_half = 0.5 * math.log1p(-cos_half * cos_half)
+        elif theta > 1e-8:
+            log_sin_half = math.log(sin_half)
+        else:  # sin(theta/2) = theta/2 to rounding, but theta/2 loses bits if subnormal
+            log_sin_half = math.log(theta) - math.log(2.0)
+        return 2.0 * math.log(2.0) + (math.cos(theta) * log_sin_half
+                                      - (math.pi - theta) * sin_half * cos_half) / cos_half**2
+
+    q2 = 4.0 * math.sin(0.5 * theta) ** 2
+
+    def integrand(x):  # at lam = 1 - x, where 1 - lam^2 = x (1 + lam)
+        lam = 1.0 - x
+        return 2.0 * lam * (_coulomb_lambda_weight(x, q2) - 1.0) / (x * (1.0 + lam))
+
+    what = "subtracted lambda integral"
     if scheme == "adaptive":
-        return numerics.quad(f, 0.0, 1.0, tol=1e-8, what="subtracted lambda integral",
+        return numerics.quad(integrand, 0.0, 1.0, tol=1e-8, what=what,
                              limit=400, epsabs=QUAD_EPS, epsrel=1e-12)
     if scheme == "gauss":
-        nodes, weights = np.polynomial.legendre.leggauss(160)
-        x = 0.5 * (nodes + 1.0)
-        return 0.5 * float(sum(w * f(xi) for xi, w in zip(x, weights)))
+        return numerics.gauss(integrand, 0.0, 1.0, tol=1e-10, what=what)
     raise DomainError(f"unknown quadrature scheme {scheme!r}")
-
-
-def _d_g(cos_theta: float) -> float:
-    """lim_{lam->1} 2 lam (g-1)/(1-lam^2) for the Coulomb weight."""
-    # g(lam) = lam a/(1 + lam^2 - lam a) with a = 2 - 2 cos_theta;
-    # expand at lam = 1 - u:  g - 1 = u (a - 2)/a + O(u^2) -> limit -(a-2)/a.
-    a = 2.0 - 2.0 * cos_theta
-    return -(a - 2.0) / a
 
 
 def total_scattering_correction(kinetic_t_over_mc2: float, theta: float,
                                 detector_de_over_mc2: float | None = None,
                                 alpha: float | None = None,
-                                scheme: str = "adaptive") -> float:
+                                scheme: str = "closed") -> float:
     """sigma_T / sigma0 for a Coulomb potential in the nonrelativistic
     window: 1 - (8 alpha / 3 pi) beta^2 sin^2(theta/2) [log(mc^2/2T) +
     f(theta)].  Carries no detector threshold: the dE passed in cancels
-    identically between the virtual and real pieces."""
+    identically between the virtual and real pieces.
+
+    The angle integral comes from _subtracted_lambda_integral: by default
+    its closed form (half-angle branch near theta = pi), or one of its
+    oracle routes, scheme="adaptive" (QUADPACK) or scheme="gauss"
+    (numerics.gauss, theta >= 0.1)."""
     alpha = default_profile().alpha if alpha is None else alpha
     t = kinetic_t_over_mc2
     if t <= 0 or t > 0.2:
@@ -384,15 +418,19 @@ def total_scattering_correction(kinetic_t_over_mc2: float, theta: float,
     ratio_n = 1.0 - coef * (math.log(1.0 / (2.0 * de)) + 5.0 / 6.0 - 1.0 / 5.0)
     # ... plus the radiative piece: subtracted integral + its analytic log,
     # log(T/dE) exactly cancelling the threshold above.
-    ratio_r = coef * (_subtracted_lambda_integral(math.cos(theta), scheme)
-                      + math.log(t / de))
+    ratio_r = coef * (_subtracted_lambda_integral(theta, scheme) + math.log(t / de))
     return ratio_n + ratio_r
 
 
-def total_correction_f_theta(theta: float, scheme: str = "adaptive") -> float:
-    """The angle function f(theta) in the assembled correction:
-    19/30 - int_0^1 (2 lam/(1-lam^2))(g(lam)-1) d lam."""
-    return 19.0 / 30.0 - _subtracted_lambda_integral(math.cos(theta), scheme)
+def total_correction_f_theta(theta: float, scheme: str = "closed") -> float:
+    """The angle function f(theta) in the assembled correction, for
+    0 < theta <= pi: 19/30 - int_0^1 (2 lam/(1-lam^2))(g(lam)-1) d lam.
+    The integral is _subtracted_lambda_integral's closed form (half-angle
+    branch near theta = pi) unless scheme names one of its oracle routes,
+    "adaptive" (QUADPACK) or "gauss" (numerics.gauss, theta >= 0.1)."""
+    if not 0.0 < theta <= math.pi:
+        raise DomainError("need 0 < theta <= pi")
+    return 19.0 / 30.0 - _subtracted_lambda_integral(theta, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,33 @@ print("scipy.integrate" in sys.modules)
     assert res.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
+def test_total_correction_results_load_no_scipy(tmp_path):
+    # a meta-path blocker makes every scipy import fail: the closed-form
+    # results and the numpy Gauss oracle still run, and the QUADPACK oracle,
+    # the positive control, reaches the blocker
+    script = """
+import sys
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError("blocked " + name)
+sys.meta_path.insert(0, BlockScipy())
+from qed51 import radiative
+print(radiative.total_scattering_correction(0.02, 1.2, 1e-4) < 1.0,
+      radiative.total_correction_f_theta(1.2) > 0.0,
+      radiative.total_correction_f_theta(1.2, "gauss") > 0.0)
+try:
+    radiative.total_correction_f_theta(1.2, "adaptive")
+except ImportError as exc:
+    print(exc)
+"""
+    res = subprocess.run([sys.executable, "-c", script],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["True True True", "blocked scipy"]
+
+
 def test_quad_returns_a_converged_value():
     assert abs(numerics.quad(math.sin, 0.0, math.pi, tol=1e-10, what="sine") - 2.0) < 1e-14
 
@@ -89,6 +116,47 @@ def test_gauss_raises_when_half_the_nodes_disagree():
     with pytest.raises(NumericError, match="endpoint singularity failed to converge"):
         numerics.gauss(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-8,
                        what="endpoint singularity")
+
+
+def test_gauss_raises_on_a_nan_integrand():
+    with pytest.raises(NumericError, match="nan integrand failed to converge"):
+        numerics.gauss(lambda x: np.full_like(x, np.nan), 0.0, 1.0, tol=1e-8,
+                       what="nan integrand")
+
+
+def test_gauss_builds_each_rule_once(monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+    built = []
+
+    def counting_leggauss(n):
+        built.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    numerics._legendre.cache_clear()
+    try:
+        for _ in range(5):
+            numerics.gauss(np.sin, 0.0, math.pi, tol=1e-10, what="sine")
+    finally:
+        numerics._legendre.cache_clear()
+    assert sorted(built) == [numerics.GAUSS_NODES // 2, numerics.GAUSS_NODES]
+
+
+def test_cached_gauss_rule_is_read_only():
+    numerics.gauss(np.sin, 0.0, math.pi, tol=1e-10, what="sine")
+    for arr in numerics._legendre(numerics.GAUSS_NODES):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_quad_and_quad_complex_leave_the_warning_filters_alone(monkeypatch):
+    # QUADPACK's failure message comes back through full_output, so neither
+    # call enters catch_warnings, which mutates process-global state
+    monkeypatch.setattr(warnings, "catch_warnings", None)
+    assert abs(numerics.quad(math.sin, 0.0, math.pi, tol=1e-10, what="sine") - 2.0) < 1e-14
+    with pytest.raises(NumericError, match="maximum number of subdivisions"):
+        numerics.quad_complex(lambda x: complex(math.sin(1.0 / x), 1.0), 0.0, 1.0,
+                              tol=1.0, what="oscillatory integral", limit=5)
 
 
 def test_root_finds_a_bracketed_zero():

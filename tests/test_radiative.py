@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qed51 import radiative as rad
 from qed51.constants import ERA_1951, MODERN
-from qed51.errors import DomainError
+from qed51.errors import DomainError, NumericError
 from qed51.kinematics import FourVector
 
 ALPHA = MODERN.alpha
@@ -307,16 +307,93 @@ def test_total_correction_scale_is_alpha_beta2_log():
     assert 0.1 * scale < correction < 10.0 * scale
 
 
+# f(theta) = 19/30 - I(theta) at the float theta shown: the partial-fraction
+# closed form in 60-digit mpmath 1.3.0, which agreed there with mpmath
+# quadrature of the rational integrand to 1e-45.
+F_THETA_REFERENCES = {
+    1e-6: "13.75569828152990347053542091372484784068",
+    1e-3: "6.849509869653902999509743487910492747929",
+    math.radians(30): "1.203112056694217686741093601290559729317",
+    math.radians(90): "0.8178352990083393412220198538723701628627",
+    math.radians(150): "0.7529382553358310308581509249650158244994",
+    math.pi - 1e-3: "0.7470389930467784783885094344869844315001",
+    math.pi - 1e-6: "0.7470389722134635478322133529578244156139",
+}
+
+
+@pytest.mark.parametrize("theta", F_THETA_REFERENCES)
+def test_total_correction_f_theta_matches_mpmath_references(theta):
+    ref = float(F_THETA_REFERENCES[theta])
+    assert abs(rad.total_correction_f_theta(theta) / ref - 1.0) < 1e-13
+
+
 def test_total_correction_f_theta_goldens():
-    # regression goldens, established by two independent quadrature schemes
-    goldens = {30: 1.2031120566944279, 90: 0.8178352990082906,
-               150: 0.7529382553356702}
-    for deg, golden in goldens.items():
+    # both oracle routes agree with each other and with the exact references
+    for deg in (30, 90, 150):
         theta = math.radians(deg)
+        golden = float(F_THETA_REFERENCES[theta])
         fa = rad.total_correction_f_theta(theta, "adaptive")
         fg = rad.total_correction_f_theta(theta, "gauss")
         assert abs(fa - fg) < 1e-6
         assert abs(fa - golden) < 1e-9
+        assert abs(fg - golden) < 1e-9
+
+
+def test_subtracted_integral_backscatter_limit():
+    limit = 2.0 * math.log(2.0) - 1.5
+    assert rad._subtracted_lambda_integral(math.pi) == limit
+    assert abs(rad._subtracted_lambda_integral(math.pi - 1e-6) - limit) < 1e-12
+    assert abs(rad._subtracted_lambda_integral(math.pi, "adaptive") - limit) < 1e-8
+    assert abs(rad.total_correction_f_theta(math.pi) - (19.0 / 30.0 - limit)) < 1e-15
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.5, math.pi + 1e-9, math.nan])
+def test_total_correction_f_theta_rejects_angles_outside_zero_to_pi(theta):
+    with pytest.raises(DomainError):
+        rad.total_correction_f_theta(theta)
+
+
+@given(st.floats(min_value=0.0, max_value=math.pi, exclude_min=True))
+def test_subtracted_integral_closed_form_is_finite_and_negative(theta):
+    # the integrand 2 lam (g - 1)/(1 - lam^2) is negative on (0, 1)
+    val = rad._subtracted_lambda_integral(theta)
+    assert math.isfinite(val) and val < 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=1e-100, max_value=math.pi))
+def test_subtracted_integral_closed_form_matches_adaptive_oracle(theta):
+    closed = rad._subtracted_lambda_integral(theta)
+    oracle = rad._subtracted_lambda_integral(theta, "adaptive")
+    assert abs(oracle - closed) <= 1e-8 * max(1.0, abs(closed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.1, max_value=math.pi))
+def test_subtracted_integral_closed_form_matches_gauss_oracle(theta):
+    closed = rad._subtracted_lambda_integral(theta)
+    oracle = rad._subtracted_lambda_integral(theta, "gauss")
+    assert abs(oracle - closed) <= 1e-10 * max(1.0, abs(closed))
+
+
+def test_gauss_oracle_raises_below_its_domain():
+    # below theta = 0.1 each call raises or agrees with the closed form, and
+    # from theta = 0.05 down (the peak at lam = 1 narrower still) each raises
+    for theta in [5e-324, *np.geomspace(1e-6, 0.1, 120)]:
+        try:
+            oracle = rad._subtracted_lambda_integral(theta, "gauss")
+        except NumericError as exc:
+            assert "subtracted lambda integral failed to converge" in str(exc)
+            continue
+        closed = rad._subtracted_lambda_integral(theta)
+        assert theta > 0.05
+        assert abs(oracle - closed) <= 1e-10 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("theta", [1e-150, 5e-324])
+def test_adaptive_oracle_raises_below_its_domain(theta):
+    with pytest.raises(NumericError, match="subtracted lambda integral failed to converge"):
+        rad._subtracted_lambda_integral(theta, "adaptive")
 
 
 def test_total_correction_matches_f_theta_form():
