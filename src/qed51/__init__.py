@@ -11,16 +11,35 @@ vertex and infrared structure, the anomalous moment, the Lamb shift).
 Everything is computed in natural units (hbar = c = electron mass = 1,
 Heaviside-Lorentz charge); the constants profiles in qed51.constants convert
 to laboratory units.
+
+Submodules load on first access (``qed51.dirac``, ``from qed51 import
+radiative``), so a command that needs only ``math`` never imports numpy.
 """
 
-from . import (constants, dirac, hydrogen, kinematics, numerics, processes,
-               propagators, radiative, spinors, wick)
+from importlib import import_module
+
 from .errors import DomainError, NumericError, PoleError, QedError
 
-__all__ = [
+_SUBMODULES = (
     "constants", "dirac", "kinematics", "spinors", "propagators", "processes",
     "hydrogen", "radiative", "wick", "numerics",
+)
+
+__all__ = [
+    *_SUBMODULES,
     "QedError", "DomainError", "PoleError", "NumericError",
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: importing the submodule binds it on the package, so this runs
+    # once per name
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 numeric failure.
 stdout carries data; stderr carries diagnostics.
 """
 
+# The module docstring is the --help description.  Each handler imports the
+# modules it computes with, so the scalar commands (lamb, uehling, moment,
+# vacpol, hydrogen, wick) and usage errors never load numpy.
+
 from __future__ import annotations
 
 import argparse
@@ -14,12 +18,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import dirac, hydrogen, processes, propagators, radiative, spinors, wick
-from .constants import RunConfig, get_profile
+from .constants import DYSON, FEYNMAN, O16_MC2_MEV, RunConfig, get_profile
 from .errors import DomainError, NumericError, QedError
-from .kinematics import FourVector
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,7 +38,9 @@ class Table:
 
 
 def _plain(value):
-    if isinstance(value, (np.floating, np.integer)):
+    # numpy scalars become Python numbers; checked by module name so that
+    # tables built without numpy never import it
+    if type(value).__module__ == "numpy":
         return value.item()
     return value
 
@@ -98,7 +100,15 @@ def _theta_grid(spec: str):
         raise DomainError(f"bad grid spec {spec!r}; expected start:end:count in degrees")
     if count < 1:
         raise DomainError("grid needs at least one point")
-    return np.linspace(start, end, count)
+    # numpy.linspace's arithmetic, point for point, without importing numpy
+    delta = end - start
+    if count == 1:
+        return [0.0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0.0:  # delta / div underflowed: scale each fraction instead
+        return [i / div * delta + start for i in range(div)] + [end]
+    return [i * step + start for i in range(div)] + [end]
 
 
 def _xsec_unit(config: RunConfig):
@@ -117,6 +127,10 @@ def _freq_value(config: RunConfig, value_mc: float):
 # Subcommand handlers.
 
 def cmd_xsec(args, config: RunConfig) -> Table:
+    import numpy as np
+
+    from . import processes
+
     unit, scale = _xsec_unit(config)
     alpha = config.alpha
     degrees = _theta_grid(args.theta_grid)
@@ -148,6 +162,8 @@ def cmd_xsec(args, config: RunConfig) -> Table:
 
 
 def cmd_annihilate(args, config: RunConfig) -> Table:
+    from . import processes
+
     alpha = config.alpha
     if args.which == "positronium":
         tau = processes.positronium_lifetime(config.constants)
@@ -167,6 +183,8 @@ def cmd_annihilate(args, config: RunConfig) -> Table:
 
 
 def cmd_hydrogen(args, config: RunConfig) -> Table:
+    from . import hydrogen
+
     alpha = config.alpha
     if args.which == "levels":
         e_unit, e_scale = ("MeV", config.constants.mc2_mev) \
@@ -204,6 +222,10 @@ def _strip_unit(text: str, *suffixes: str) -> float:
 
 
 def cmd_o16(args, config: RunConfig) -> Table:
+    import numpy as np
+
+    from . import processes
+
     delta_e = _strip_unit(args.deltaE, "mev")
     r0 = _strip_unit(args.r0, "cm")
     rows = [["lifetime (rounded chain)", processes.o16_lifetime(delta_e, r0, args.Z, "rounded"), "s"],
@@ -212,7 +234,7 @@ def cmd_o16(args, config: RunConfig) -> Table:
     table = Table(f"Monopole pair emission (dE = {delta_e} MeV, r0 = {r0} cm, Z = {args.Z})",
                   ["quantity", "value", "unit"], rows)
     if args.spectrum:
-        de_nat = delta_e / 0.511
+        de_nat = delta_e / O16_MC2_MEV
         grid = np.linspace(0.0, de_nat, 13)[1:-1]
         spec_rows = [[e1, processes.o16_pair_spectrum(e1, math.pi / 3.0, de_nat)]
                      for e1 in grid]
@@ -222,8 +244,10 @@ def cmd_o16(args, config: RunConfig) -> Table:
 
 
 def cmd_vacpol(args, config: RunConfig) -> Table:
+    from . import radiative
+
     alpha = config.alpha
-    q2s = [args.q2] if args.grid is None else list(_theta_grid(args.grid))
+    q2s = [args.q2] if args.grid is None else _theta_grid(args.grid)
     rows = []
     for q2 in q2s:
         res = radiative.vacuum_polarization(q2, alpha)
@@ -233,6 +257,8 @@ def cmd_vacpol(args, config: RunConfig) -> Table:
 
 
 def cmd_uehling(args, config: RunConfig) -> Table:
+    from . import radiative
+
     shift = radiative.uehling_shift(args.state, config.constants)
     unit, val = _freq_value(config, shift)
     return Table("Uehling (vacuum polarization) level shift",
@@ -240,6 +266,8 @@ def cmd_uehling(args, config: RunConfig) -> Table:
 
 
 def cmd_lamb(args, config: RunConfig) -> Table:
+    from . import radiative
+
     eav = _strip_unit(str(args.eav), "ry")
     budget = radiative.lamb_shift_full(eav, config.constants)
     unit, _ = _freq_value(config, 0.0)
@@ -259,6 +287,8 @@ def cmd_lamb(args, config: RunConfig) -> Table:
 
 
 def cmd_moment(args, config: RunConfig) -> Table:
+    from . import radiative
+
     val = radiative.anomalous_moment(args.order, config.alpha)
     return Table("Anomalous magnetic moment dM/M",
                  ["order", "dM/M"], [[args.order, val]],
@@ -274,6 +304,8 @@ MAX_GRAPHS = 501_600
 
 
 def _product_from_spec(spec: str):
+    from . import wick
+
     key = spec.lower()
     if key in ("two-vertex-current", "current^2", "current2"):
         return wick.OperatorProduct.current_product(2)
@@ -302,6 +334,8 @@ def _spec_count(spec: str, text: str, limit: int) -> int:
 
 
 def cmd_wick(args, config: RunConfig) -> Table:
+    from . import wick
+
     prod = _product_from_spec(args.product)
     pairings = wick.enumerate_pairings(prod)
     if args.which == "count":
@@ -330,9 +364,11 @@ def cmd_wick(args, config: RunConfig) -> Table:
 
 
 def cmd_verify(args, config: RunConfig) -> Table:
+    from . import dirac
+
     checks = []
     if args.which == "tables":
-        convs = [args.convention] if args.convention else [dirac.DYSON, dirac.FEYNMAN]
+        convs = [args.convention] if args.convention else [DYSON, FEYNMAN]
         for conv in convs:
             rep = dirac.verify_identity_tables(conv)
             checks.append([f"{conv} table ({len(rep.entries)} identities)",
@@ -347,7 +383,11 @@ def cmd_verify(args, config: RunConfig) -> Table:
 
 
 def _verify_all(config: RunConfig):
-    from .kinematics import electron_from_energy
+    import numpy as np
+
+    from . import dirac, processes, propagators, radiative, spinors
+    from .kinematics import FourVector, electron_from_energy
+
     alpha = config.alpha
     rng = np.random.default_rng(20510)
     checks = []
@@ -355,7 +395,7 @@ def _verify_all(config: RunConfig):
     def add(name, dev, tol):
         checks.append([name, float(dev), "pass" if dev < tol else "FAIL"])
 
-    for conv in (dirac.DYSON, dirac.FEYNMAN):
+    for conv in (DYSON, FEYNMAN):
         rep = dirac.verify_identity_tables(conv)
         add(f"{conv} summary table", rep.max_deviation, 1e-12)
 
@@ -409,6 +449,8 @@ def _verify_all(config: RunConfig):
 
 
 def _kn_pols():
+    from .kinematics import FourVector
+
     e = FourVector(0.0, 1.0, 0.0, 0.0)
     th = math.pi / 3
     a = math.sin(math.pi / 4)
@@ -514,7 +556,7 @@ def build_parser() -> _Parser:
     ver = add(sub, "verify", help="identity and oracle suites")
     vsub = ver.add_subparsers(dest="which", required=True)
     vt = add(vsub, "tables")
-    vt.add_argument("--convention", choices=(dirac.DYSON, dirac.FEYNMAN), default=None)
+    vt.add_argument("--convention", choices=(DYSON, FEYNMAN), default=None)
     add(vsub, "all")
     return parser
 

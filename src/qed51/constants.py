@@ -27,6 +27,19 @@ MC2_HZ_MODERN = 1.235590e20
 # Speed of light in cm/s (exact by the SI definition of the metre).
 C_CM_S = 2.99792458e10
 
+# Names of the two Dirac-matrix conventions (qed51.dirac re-exports them);
+# kept here so that code naming a convention need not import numpy.
+DYSON = "dyson"
+FEYNMAN = "feynman"
+
+# The O16 pair-emission problem is worked in Gaussian-style units with
+# rounded textbook values; processes.o16_total_rate and `qed51 o16` use
+# these, not the profiles below.
+O16_MC2_MEV = 0.511              # rounded electron rest energy, MeV
+O16_ALPHA = 1.0 / 137.0          # rounded e^2/hbar c, Gaussian-style
+O16_HBAR_C_MEV_CM = 1.97327e-11  # rounded hbar c, MeV cm
+O16_HBAR_MEV_S = 6.58212e-22     # rounded hbar, MeV s
+
 
 @dataclass(frozen=True)
 class Constants:

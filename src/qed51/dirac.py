@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import DYSON, FEYNMAN
 from .errors import DomainError
-
-DYSON = "dyson"
-FEYNMAN = "feynman"
 
 TOL_TABLE = 1e-12
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics
 from .errors import DomainError, NumericError
 
@@ -97,6 +95,8 @@ def series_coefficients(qn: DiracQuantumNumbers, alpha: float, energy: float,
     """Power-series coefficients (c_s, d_s) of the regular radial solution
     f = sum c_s r^s, g = sum d_s r^s with s = eps, eps+1, ..., from the
     printed two-term recursions.  Valid for any 0 < E < 1."""
+    import numpy as np
+
     a1, a2, a = _rate_constants(energy)
     k = qn.k
     eps = math.sqrt(k**2 - alpha**2)
@@ -179,6 +179,8 @@ def _radial_rhs(alpha: float, k: int, a1: float, a2: float, a: float):
 def _shoot_mismatch(qn: DiracQuantumNumbers, alpha: float, energy: float) -> float:
     """Log-derivative mismatch at the matching point rho = a r = 1; its zeros
     are the bound-state energies."""
+    import numpy as np
+
     if not 0.0 < energy < 1.0:
         raise DomainError("bound-state window is 0 < E < mc^2")
     a1, a2, a = _rate_constants(energy)

@@ -2,13 +2,14 @@
 endpoints (ODEPACK's LSODA) and bracketed root finding (brentq), plus a
 Gauss-Legendre rule that needs no scipy.
 
-scipy is imported inside each call, never when this module loads, so a
-command that integrates nothing never pays for the import.  Every function
-checks what the solver reports and raises NumericError instead of returning
-an unconverged value or letting a solver warning reach stderr.  A quadrature
-counts as converged when its error estimate (QUADPACK's, or for gauss the
-change from half the nodes) is at most tol * max(1, |value|) and QUADPACK
-reported no failure; an ODE solve when LSODA reports success.
+scipy, and numpy for the Gauss nodes, are imported inside each call, never
+when this module loads, so a command that integrates nothing never pays for
+either import.  Every function checks what the solver reports and raises
+NumericError instead of returning an unconverged value or letting a solver
+warning reach stderr.  A quadrature counts as converged when its error
+estimate (QUADPACK's, or for gauss the change from half the nodes) is at
+most tol * max(1, |value|) and QUADPACK reported no failure; an ODE solve
+when LSODA reports success.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-
-import numpy as np
 
 from .errors import NumericError
 
@@ -37,6 +36,8 @@ def _check(err: float, scale: float, tol: float, what: str) -> None:
 def _legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n.
     Every gauss call shares them, so they are read-only."""
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -52,7 +53,7 @@ def gauss(f, a: float, b: float, *, tol: float, what: str) -> float:
     def rule(n):
         nodes, weights = _legendre(n)
         half = 0.5 * (b - a)
-        return half * float(np.dot(weights, f(a + half * (nodes + 1.0))))
+        return half * float(weights @ f(a + half * (nodes + 1.0)))
 
     val = rule(GAUSS_NODES)
     _check(abs(val - rule(GAUSS_NODES // 2)), abs(val), tol, what)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .constants import C_CM_S
+from .constants import (C_CM_S, O16_ALPHA, O16_HBAR_C_MEV_CM, O16_HBAR_MEV_S,
+                        O16_MC2_MEV)
 from .dirac import GAMMA, I4, slash, spur
 from .errors import DomainError, PoleError
 from .kinematics import (ElectronState, FourVector, compton_shift,
@@ -463,14 +464,11 @@ def o16_total_rate(delta_e_mev: float, r0_cm: float, z_charge: float) -> float:
 
     This problem is worked in Gaussian-style units (Z e^2/hbar c = Z alpha).
     """
-    if delta_e_mev <= 2 * 0.511:
+    if delta_e_mev <= 2 * O16_MC2_MEV:
         raise DomainError("excitation below the pair threshold")
-    alpha_g = 1.0 / 137.0
-    hbar_c_mev_cm = 1.97327e-11
-    hbar_mev_s = 6.58212e-22
-    z_alpha = z_charge * alpha_g
-    x = delta_e_mev * r0_cm / hbar_c_mev_cm
-    return (4.0 / (375.0 * math.pi)) * z_alpha**2 * x**4 * (delta_e_mev / hbar_mev_s)
+    z_alpha = z_charge * O16_ALPHA
+    x = delta_e_mev * r0_cm / O16_HBAR_C_MEV_CM
+    return (4.0 / (375.0 * math.pi)) * z_alpha**2 * x**4 * (delta_e_mev / O16_HBAR_MEV_S)
 
 
 def o16_lifetime(delta_e_mev: float = 6.0, r0_cm: float = 4e-13,

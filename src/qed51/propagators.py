@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import numerics
-from .dirac import I4, slash
 from .errors import DomainError, NumericError, PoleError
-from .kinematics import FourVector
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .kinematics import FourVector
 
 QUAD_TOL = 1e-10
 
@@ -55,6 +57,8 @@ def photon_propagator(k: FourVector, policy: IEpsilonPolicy = DEFAULT_POLICY) ->
 def electron_propagator(k: FourVector, mass: float = 1.0,
                         policy: IEpsilonPolicy = DEFAULT_POLICY) -> np.ndarray:
     """(kslash + i m) / (k.k + m^2 - i eps), a 4x4 matrix."""
+    from .dirac import I4, slash
+
     denom = k.dot(k) + mass**2
     if policy.exact:
         if denom == 0.0:
@@ -71,6 +75,8 @@ def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
 
     Equals 1/(a b) when the segment from b to a avoids the origin.
     """
+    import numpy as np
+
     a, b = complex(a), complex(b)
     if policy.exact and a.imag == 0.0 and b.imag == 0.0:
         # segment a z + b (1-z) crosses zero iff the endpoints differ in sign
@@ -140,7 +146,7 @@ def loop_log_difference_quadrature(lam: float, lam_prime: float) -> complex:
         raise DomainError("Lambda values must be positive")
     val = numerics.quad(
         lambda k: k**3 * (1.0 / (k**2 + lam) ** 2 - 1.0 / (k**2 + lam_prime) ** 2),
-        0.0, np.inf, tol=1e-8, what="radial loop quadrature",
+        0.0, math.inf, tol=1e-8, what="radial loop quadrature",
         limit=200, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
     return 2j * math.pi**2 * val
 

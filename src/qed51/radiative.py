@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics
 from .constants import Constants, default_profile
 from .errors import DomainError
@@ -220,6 +218,8 @@ def self_energy_z_integral(r_value: float) -> float:
     (R - log z): returns -pi^2 (6R + 5) for the supplied numeric R.  z = u^4
     turns the logarithm at z = 0 into 4 u^3 (1 + u^4)(R - 4 log u), smooth
     enough at u = 0 for Gauss-Legendre."""
+    import numpy as np
+
     val = numerics.gauss(
         lambda u: 4.0 * u**3 * (1.0 + u**4) * (r_value - 4.0 * np.log(u)), 0.0, 1.0,
         tol=1e-7, what="self-energy z-integral")
@@ -242,6 +242,8 @@ def k_integral_closed(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
     K(p, p'; r): (3 i pi^2 / 2) { (1/3)(L+1) - (p.p' + q^2/2)(L/3 + 1/6)
     + (p.p' + q^2/3)(L/3 + 5/18) } with L = log(1/2r), momenta in mass
     units (p_vec, pp_vec are 3-vectors)."""
+    import numpy as np
+
     if r_ir <= 0:
         raise DomainError("infrared cutoff must be positive")
     ppp = float(np.dot(p_vec, pp_vec))
@@ -255,6 +257,8 @@ def k_integral_closed(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
 def k_integral_radial(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
     """The same integral by direct 1-D radial quadrature of the x,y-reduced
     integrand (the parameter integrals done analytically)."""
+    import numpy as np
+
     if r_ir <= 0:
         raise DomainError("infrared cutoff must be positive")
     ppp = float(np.dot(p_vec, pp_vec))
@@ -269,7 +273,7 @@ def k_integral_radial(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
         term3 = c_third * (base / 3.0 - 0.5 / root**5 + (5.0 / 6.0) / root**7)
         return k * k * (term1 + term2 + term3)
 
-    val = numerics.quad(integrand, r_ir, np.inf, tol=1e-9,
+    val = numerics.quad(integrand, r_ir, math.inf, tol=1e-9,
                         what="radial K-integral quadrature",
                         limit=400, epsabs=QUAD_EPS, epsrel=1e-12)
     return 1.5j * math.pi**2 * val

@@ -4,12 +4,16 @@ import json
 import math
 import os
 import re
+import struct
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qed51 import cli
+from qed51 import cli, radiative, wick
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "output-schema.json"
 
@@ -117,6 +121,29 @@ def test_json_outputs_validate():
         validate_against_schema(json.loads(out))
 
 
+# The README grids, then edge cases: a signed zero, a step that underflows
+# to zero, and an end - start that overflows.
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(min_value=1, max_value=200))
+@example(0.0, 180.0, 7)
+@example(10.0, 50.0, 5)
+@example(30.0, 150.0, 7)
+@example(-8.0, 4.0, 25)
+@example(-0.0, 0.0, 1)
+@example(0.0, 5e-324, 4)
+@example(-1e308, 1e308, 1)
+@example(-1e308, 1e308, 9)
+def test_theta_grid_is_numpy_linspace_bit_for_bit(start, end, count):
+    # vacpol --grid and every xsec --theta-grid go through _theta_grid
+    grid = cli._theta_grid(f"{start}:{end}:{count}")
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, end, count)
+    assert all(type(x) is float for x in grid)
+    assert struct.pack(f"<{count}d", *grid) == expected.tobytes()
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["xsec", "moller", "--bogus-flag", "1"])
@@ -176,7 +203,7 @@ def test_wick_graphs_pairing_limit_exits_two_before_drawing(monkeypatch, capsys)
     def no_graphs(*args, **kwargs):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(cli.wick, "to_graph", no_graphs)
+    monkeypatch.setattr(wick, "to_graph", no_graphs)
     code = cli.main(["wick", "graphs", "--product", "current^7"])
     out, err = capsys.readouterr()
     assert code == 2
@@ -217,7 +244,7 @@ def test_numeric_error_exits_three(monkeypatch):
     def boom(*a, **k):
         raise NumericError("forced failure")
 
-    monkeypatch.setattr(cli.radiative, "vacuum_polarization", boom)
+    monkeypatch.setattr(radiative, "vacuum_polarization", boom)
     code, _ = run(["vacpol", "--q2", "0.5"])
     assert code == 3
 

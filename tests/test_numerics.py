@@ -50,6 +50,38 @@ print("scipy.integrate" in sys.modules)
     assert res.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
+SCALAR_COMMANDS = {"lamb", "uehling", "moment", "vacpol", "hydrogen", "wick"}
+
+
+def test_scalar_cli_examples_leave_numpy_unloaded(tmp_path):
+    # one child runs the scalar README examples and a usage error, and reports
+    # the first argv after which numpy is loaded; xsec, the positive control,
+    # loads it
+    examples = [argv for argv in readme_cli_examples() if argv[0] in SCALAR_COMMANDS]
+    assert {argv[0] for argv in examples} == SCALAR_COMMANDS
+    script = """
+import contextlib, io, json, sys
+import qed51.cli as cli
+print("numpy" in sys.modules)
+def loads_numpy(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:  # the usage error
+            pass
+    return "numpy" in sys.modules
+print([argv for argv in json.loads(sys.argv[1]) if loads_numpy(argv)][:1])
+print(loads_numpy(["xsec", "moller", "--gamma", "2", "--theta-grid", "10:50:5"]))
+"""
+    res = subprocess.run([sys.executable, "-c", script,
+                          json.dumps(examples + [["frobnicate"]])],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False", "[]", "True"]
+
+
 def test_total_correction_results_load_no_scipy(tmp_path):
     # a meta-path blocker makes every scipy import fail: the closed-form
     # results and the numpy Gauss oracle still run, and the QUADPACK oracle,

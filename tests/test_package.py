@@ -1,0 +1,50 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qed51
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_leaves_numpy_unloaded(tmp_path):
+    # submodules load on first access, so the bare package needs no numpy
+    script = """
+import sys
+import qed51
+print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("qed51.")))
+qed51.dirac
+print("numpy" in sys.modules)
+"""
+    res = subprocess.run([sys.executable, "-c", script],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False ['qed51.errors']", "True"]
+
+
+def test_every_public_name_resolves():
+    for name in qed51.__all__:
+        value = getattr(qed51, name)
+        if name in qed51._SUBMODULES:
+            assert value is sys.modules[f"qed51.{name}"]
+        else:
+            assert issubclass(value, qed51.QedError)
+    assert set(qed51.__all__) <= set(dir(qed51))
+
+
+def test_star_import_and_from_import():
+    namespace = {}
+    exec("from qed51 import *", namespace)
+    assert set(qed51.__all__) <= set(namespace)
+    from qed51 import radiative
+    assert radiative is qed51.radiative
+    assert namespace["dirac"].DYSON == "dyson"
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="nosuch"):
+        qed51.nosuch
