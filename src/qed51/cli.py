@@ -33,16 +33,8 @@ class Table:
     def __init__(self, title, columns, rows, meta=None):
         self.title = title
         self.columns = columns
-        self.rows = [[_plain(c) for c in row] for row in rows]
+        self.rows = rows
         self.meta = meta or {}
-
-
-def _plain(value):
-    # numpy scalars become Python numbers; checked by module name so that
-    # tables built without numpy never import it
-    if type(value).__module__ == "numpy":
-        return value.item()
-    return value
 
 
 def _fmt_text(value):
@@ -92,6 +84,11 @@ def emit(table: Table, config: RunConfig, stream=None) -> None:
         stream.write(f"# {key}: {_fmt_text(val)}\n")
 
 
+# Largest point count of --grid and --theta-grid: vacpol with 100,000
+# points takes about 2 s and 50 MB.
+MAX_GRID_POINTS = 100_000
+
+
 def _theta_grid(spec: str):
     try:
         start, end, count = spec.split(":")
@@ -100,7 +97,13 @@ def _theta_grid(spec: str):
         raise DomainError(f"bad grid spec {spec!r}; expected start:end:count in degrees")
     if count < 1:
         raise DomainError("grid needs at least one point")
-    # numpy.linspace's arithmetic, point for point, without importing numpy
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"grid spec {spec!r} needs a count <= {MAX_GRID_POINTS}")
+    return _linspace(start, end, count)
+
+
+def _linspace(start: float, end: float, count: int):
+    """numpy.linspace's arithmetic, point for point, without importing numpy."""
     delta = end - start
     if count == 1:
         return [0.0 * delta + start]
@@ -117,27 +120,23 @@ def _xsec_unit(config: RunConfig):
     return "r0^2/sr", 1.0
 
 
-def _freq_value(config: RunConfig, value_mc: float):
+def _freq_unit(config: RunConfig):
     if config.units == "SI":
-        return "Hz", value_mc * 1e6
-    return "Mc", value_mc
+        return "Hz", 1e6
+    return "Mc", 1.0
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
 def cmd_xsec(args, config: RunConfig) -> Table:
-    import numpy as np
-
     from . import processes
 
     unit, scale = _xsec_unit(config)
     alpha = config.alpha
     degrees = _theta_grid(args.theta_grid)
-    radians = np.radians(degrees)
     if args.process == "moller":
-        dist = processes.sample_distribution(
-            lambda th: processes.moller_dcs(args.gamma, th, alpha), radians)
+        fn = lambda th: processes.moller_dcs(args.gamma, th, alpha)
         title = f"Moller dsigma/dOmega* (gamma = {args.gamma}) [{unit}]"
         angle_col = "theta_lab_deg"
     elif args.process == "compton":
@@ -147,17 +146,15 @@ def cmd_xsec(args, config: RunConfig) -> Table:
         else:
             fn = lambda th: processes.kn_dcs(args.eps, th, phi=math.radians(args.phi))
             label = f"phi = {args.phi} deg"
-        dist = processes.sample_distribution(fn, radians)
         title = f"Klein-Nishina dsigma/dOmega (eps = {args.eps}, {label}) [{unit}]"
         angle_col = "theta_deg"
     elif args.process == "mott":
-        dist = processes.sample_distribution(
-            lambda th: processes.mott_dcs(args.energy, th, args.Z, alpha), radians)
+        fn = lambda th: processes.mott_dcs(args.energy, th, args.Z, alpha)
         title = f"Mott dsigma/dOmega (E = {args.energy} mc^2, Z = {args.Z}) [{unit}]"
         angle_col = "theta_deg"
     else:
         raise DomainError(f"unknown process {args.process!r}")
-    rows = [[deg, val * scale] for deg, val in zip(degrees, dist.value)]
+    rows = [[deg, fn(math.radians(deg)) * scale] for deg in degrees]
     return Table(title, [angle_col, f"dcs[{unit}]"], rows)
 
 
@@ -222,8 +219,6 @@ def _strip_unit(text: str, *suffixes: str) -> float:
 
 
 def cmd_o16(args, config: RunConfig) -> Table:
-    import numpy as np
-
     from . import processes
 
     delta_e = _strip_unit(args.deltaE, "mev")
@@ -235,7 +230,7 @@ def cmd_o16(args, config: RunConfig) -> Table:
                   ["quantity", "value", "unit"], rows)
     if args.spectrum:
         de_nat = delta_e / O16_MC2_MEV
-        grid = np.linspace(0.0, de_nat, 13)[1:-1]
+        grid = _linspace(0.0, de_nat, 13)[1:-1]
         spec_rows = [[e1, processes.o16_pair_spectrum(e1, math.pi / 3.0, de_nat)]
                      for e1 in grid]
         table = Table("Pair spectrum shape at theta = 60 deg (E1 in mc^2, unnormalized)",
@@ -260,9 +255,9 @@ def cmd_uehling(args, config: RunConfig) -> Table:
     from . import radiative
 
     shift = radiative.uehling_shift(args.state, config.constants)
-    unit, val = _freq_value(config, shift)
+    unit, scale = _freq_unit(config)
     return Table("Uehling (vacuum polarization) level shift",
-                 ["state", f"shift [{unit}]"], [[args.state, val]])
+                 ["state", f"shift [{unit}]"], [[args.state, shift * scale]])
 
 
 def cmd_lamb(args, config: RunConfig) -> Table:
@@ -270,8 +265,7 @@ def cmd_lamb(args, config: RunConfig) -> Table:
 
     eav = _strip_unit(str(args.eav), "ry")
     budget = radiative.lamb_shift_full(eav, config.constants)
-    unit, _ = _freq_value(config, 0.0)
-    scale = 1e6 if unit == "Hz" else 1.0
+    unit, scale = _freq_unit(config)
     if args.budget:
         rows = [["bethe_term", budget.bethe_term * scale],
                 ["moment_term", budget.moment_term * scale],

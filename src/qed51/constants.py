@@ -77,10 +77,6 @@ class Constants:
         """Convert an energy in units of mc^2 to a frequency in megacycles."""
         return energy_natural * self.mc2_hz / 1e6
 
-    def rydberg_natural(self) -> float:
-        """The Rydberg energy in units of mc^2 (profile-consistent)."""
-        return self.ry_over_mc2
-
 
 MODERN = Constants(name="modern", alpha=1.0 / 137.036,
                    rydberg_hz=RYDBERG_HZ, mc2_hz=MC2_HZ_MODERN)

@@ -47,10 +47,6 @@ class EnergyLevel:
     energy: float            # units mc^2
     qn: DiracQuantumNumbers
 
-    @property
-    def binding(self) -> float:
-        return 1.0 - self.energy
-
 
 def _check_alpha(qn: DiracQuantumNumbers, alpha: float, allow_z: bool) -> None:
     if alpha <= 0:

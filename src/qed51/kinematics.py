@@ -26,24 +26,12 @@ class FourVector:
     def __init__(self, x1=0.0, x2=0.0, x3=0.0, x0=0.0):
         self.x1, self.x2, self.x3, self.x0 = float(x1), float(x2), float(x3), float(x0)
 
-    @classmethod
-    def from_spatial(cls, vec3, x0=0.0):
-        return cls(vec3[0], vec3[1], vec3[2], x0)
-
     def dot(self, other: "FourVector") -> float:
         return (self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3
                 - self.x0 * other.x0)
 
     def space_dot(self, other: "FourVector") -> float:
         return self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3
-
-    @property
-    def space(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-    @property
-    def space_norm(self) -> float:
-        return math.sqrt(self.space_dot(self))
 
     def __add__(self, other):
         return FourVector(self.x1 + other.x1, self.x2 + other.x2,

@@ -89,23 +89,6 @@ def quad_complex(f, a, b, *, tol: float, what: str, **quad_kw) -> complex:
     return complex(re, im)
 
 
-def dblquad(f, a, b, gfun, hfun, *, tol: float, what: str, **quad_kw) -> float:
-    """scipy.integrate.dblquad, f(y, x) over a <= x <= b and
-    gfun(x) <= y <= hfun(x), checked against tol.  dblquad has no
-    full_output, so its IntegrationWarning is raised under a temporary
-    warning filter and becomes NumericError."""
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.dblquad(f, a, b, gfun, hfun, **quad_kw)
-        except integrate.IntegrationWarning as exc:
-            raise NumericError(f"{what} failed to converge: {exc}") from exc
-    _check(err, abs(val), tol, what)
-    return val
-
-
 def ode_endpoint(rhs, t_span, y0, *, what: str, **odeint_kw):
     """Final state of y' = rhs(t, y) from t_span[0] to t_span[1] (either
     direction) by ODEPACK's LSODA, the compiled order-switching

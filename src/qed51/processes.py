@@ -19,34 +19,16 @@ from . import numerics
 from .constants import (C_CM_S, O16_ALPHA, O16_HBAR_C_MEV_CM, O16_HBAR_MEV_S,
                         O16_MC2_MEV)
 from .dirac import GAMMA, I4, slash, spur
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .kinematics import (ElectronState, FourVector, compton_shift,
                          electron_at_rest, moller_cm_angle, moller_cm_momenta,
                          two_body_cross_section)
-from .spinors import adjoint, plane_wave_spinors
+from .propagators import IEpsilonPolicy, electron_propagator
+from .spinors import adjoint, bar_sandwich, plane_wave_spinors
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class AngularDistribution:
-    """Sampled differential cross section, values in r0^2 per steradian."""
-
-    theta: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.value = np.asarray(self.value, dtype=float)
-        if self.theta.shape != self.value.shape:
-            raise DomainError("theta and value grids must match")
-
-
-def sample_distribution(func, thetas) -> AngularDistribution:
-    """Tabulate a differential cross section over an angle grid."""
-    thetas = np.asarray(thetas, dtype=float)
-    return AngularDistribution(theta=thetas,
-                               value=np.array([func(t) for t in thetas]))
+# internal electron lines are exact-mode propagators: PoleError on shell
+_EXACT = IEpsilonPolicy.exact_limit()
 
 
 @dataclass
@@ -178,7 +160,7 @@ def compton_amplitude(p: FourVector, k: FourVector, e: FourVector,
         if abs(pol.x0) > 1e-10 or abs(pol.dot(photon_k)) > 1e-9:
             raise DomainError("unphysical photon polarization")
     e2 = 4.0 * math.pi * alpha
-    return complex(adjoint(up) @ _compton_vertex(k, e, kp, ep) @ u) * e2 / 2.0
+    return bar_sandwich(up, _compton_vertex(k, e, kp, ep), u) * e2 / 2.0
 
 
 def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
@@ -206,7 +188,7 @@ def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
         total = 0.0
         for u in plane_wave_spinors(st, +1):
             for up in plane_wave_spinors(stp, +1):
-                total += abs(complex(adjoint(up) @ ops @ u)) ** 2
+                total += abs(bar_sandwich(up, ops, u)) ** 2
         return (e2 / 2.0) ** 2 * total / 2.0
     raise DomainError(f"unknown route {route!r}")
 
@@ -265,7 +247,7 @@ def annihilation_amplitude(u: np.ndarray, u_neg: np.ndarray,
     """Matrix element u_neg-bar (eslash k'slash e'slash + e'slash kslash
     eslash) u between a positive-energy electron spinor and the
     negative-energy spinor representing the positron."""
-    return complex(adjoint(u_neg) @ annihilation_vertex(k, e, kp, ep) @ u)
+    return bar_sandwich(u_neg, annihilation_vertex(k, e, kp, ep), u)
 
 
 def rest_annihilation_photons(mass: float = 1.0):
@@ -275,6 +257,19 @@ def rest_annihilation_photons(mass: float = 1.0):
     e = FourVector(1, 0, 0, 0)
     ep = FourVector(0, 1, 0, 0)
     return k, kp, e, ep
+
+
+def _rest_annihilation(parallel_polarizations: bool):
+    """a(i, j): the rest-frame matrix element between electron spinor i and
+    negative-energy spinor j, with the photons and polarizations of
+    rest_annihilation_photons (e' = e when parallel)."""
+    k, kp, e, ep = rest_annihilation_photons()
+    if parallel_polarizations:
+        ep = e
+    rest = electron_at_rest()
+    us = plane_wave_spinors(rest, +1)
+    vs = plane_wave_spinors(rest, -1)
+    return lambda i, j: annihilation_amplitude(us[i], vs[j], e, ep, k, kp)
 
 
 def annihilation_singlet_amplitude(parallel_polarizations: bool = False) -> complex:
@@ -287,31 +282,18 @@ def annihilation_singlet_amplitude(parallel_polarizations: bool = False) -> comp
     antisymmetric (singlet) positronium combination is the *sum* of the
     (u1, v1) and (u2, v2) matrix elements.
     """
-    k, kp, e, ep = rest_annihilation_photons()
-    if parallel_polarizations:
-        ep = e
-    rest = electron_at_rest()
-    us = plane_wave_spinors(rest, +1)
-    vs = plane_wave_spinors(rest, -1)
-    a_updown = annihilation_amplitude(us[0], vs[0], e, ep, k, kp)
-    a_downup = annihilation_amplitude(us[1], vs[1], e, ep, k, kp)
-    return (a_updown + a_downup) / math.sqrt(2.0)
+    a = _rest_annihilation(parallel_polarizations)
+    return (a(0, 0) + a(1, 1)) / math.sqrt(2.0)
 
 
 def annihilation_triplet_amplitudes(parallel_polarizations: bool = False):
     """The three triplet-channel amplitudes (m = +1, 0, -1), all zero: the
     two-photon decay of the spin-one state is forbidden."""
-    k, kp, e, ep = rest_annihilation_photons()
-    if parallel_polarizations:
-        ep = e
-    rest = electron_at_rest()
-    us = plane_wave_spinors(rest, +1)
-    vs = plane_wave_spinors(rest, -1)
-    a = annihilation_amplitude
+    a = _rest_annihilation(parallel_polarizations)
     return (
-        a(us[0], vs[1], e, ep, k, kp),   # both spins up (v2 ~ -positron-up)
-        (a(us[0], vs[0], e, ep, k, kp) - a(us[1], vs[1], e, ep, k, kp)) / math.sqrt(2.0),
-        a(us[1], vs[0], e, ep, k, kp),
+        a(0, 1),   # both spins up (v2 ~ -positron-up)
+        (a(0, 0) - a(1, 1)) / math.sqrt(2.0),
+        a(1, 0),
     )
 
 
@@ -379,14 +361,6 @@ def rutherford_dcs(energy: float, theta: float, z_charge: float, alpha: float) -
 # ---------------------------------------------------------------------------
 # Bremsstrahlung and pair creation (matrix elements only).
 
-def _internal_line(k: FourVector, mass: float = 1.0) -> np.ndarray:
-    """(kslash - i m)^-1 = (kslash + i m)/(k^2 + m^2); exact-mode pole check."""
-    denom = k.dot(k) + mass**2
-    if denom == 0.0:
-        raise PoleError("internal electron line exactly on shell")
-    return (slash(k) + 1j * mass * I4) / denom
-
-
 def bremsstrahlung_me(p: FourVector, u: np.ndarray, pp: FourVector, up: np.ndarray,
                       kp: FourVector, ep: FourVector, formfactor,
                       alpha: float) -> complex:
@@ -396,9 +370,9 @@ def bremsstrahlung_me(p: FourVector, u: np.ndarray, pp: FourVector, up: np.ndarr
     e2 = 4.0 * math.pi * alpha
     q = pp + kp - p
     vertex_e = 1j * GAMMA[3]
-    mid = (vertex_e @ _internal_line(p - kp) @ slash(ep)
-           + slash(ep) @ _internal_line(pp + kp) @ vertex_e)
-    return -e2 * formfactor(q) * complex(adjoint(up) @ mid @ u)
+    mid = (vertex_e @ electron_propagator(p - kp, policy=_EXACT) @ slash(ep)
+           + slash(ep) @ electron_propagator(pp + kp, policy=_EXACT) @ vertex_e)
+    return -e2 * formfactor(q) * bar_sandwich(up, mid, u)
 
 
 def paircreation_me(p: FourVector, u: np.ndarray, p_plus: FourVector,
@@ -410,9 +384,9 @@ def paircreation_me(p: FourVector, u: np.ndarray, p_plus: FourVector,
     e2 = 4.0 * math.pi * alpha
     q = p + p_plus - kp
     vertex_e = 1j * GAMMA[3]
-    mid = (vertex_e @ _internal_line(kp - p_plus) @ slash(ep)
-           + slash(ep) @ _internal_line(p - kp) @ vertex_e)
-    return -e2 * formfactor(q) * complex(adjoint(u) @ mid @ u_plus)
+    mid = (vertex_e @ electron_propagator(kp - p_plus, policy=_EXACT) @ slash(ep)
+           + slash(ep) @ electron_propagator(p - kp, policy=_EXACT) @ vertex_e)
+    return -e2 * formfactor(q) * bar_sandwich(u, mid, u_plus)
 
 
 def soft_photon_factor(p: FourVector, pp: FourVector, kp: FourVector,
@@ -429,7 +403,7 @@ def elastic_me(p: FourVector, u: np.ndarray, pp: FourVector, up: np.ndarray,
     normalization of bremsstrahlung_me."""
     e2 = 4.0 * math.pi * alpha
     q = pp - p
-    return e2 * formfactor(q) * complex(adjoint(up) @ (1j * GAMMA[3]) @ u)
+    return e2 * formfactor(q) * bar_sandwich(up, 1j * GAMMA[3], u)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +426,15 @@ def o16_angular_integral() -> float:
 
 
 def o16_energy_angular_integral(delta_e: float) -> float:
-    """The full double integral of the spectrum shape; equals delta_e^5/15."""
-    return numerics.dblquad(lambda th, e1: o16_pair_spectrum(e1, th, delta_e),
-                            0.0, delta_e, 0.0, math.pi,
-                            tol=1e-8, what="O16 energy-angle integral")
+    """The full double integral of the spectrum shape, theta inside E1;
+    equals delta_e^5/15."""
+    what = "O16 energy-angle integral"
+
+    def angular(e1):
+        return numerics.quad(lambda th: o16_pair_spectrum(e1, th, delta_e),
+                             0.0, math.pi, tol=1e-8, what=what)
+
+    return numerics.quad(angular, 0.0, delta_e, tol=1e-8, what=what)
 
 
 def o16_total_rate(delta_e_mev: float, r0_cm: float, z_charge: float) -> float:

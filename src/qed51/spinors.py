@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import BETA, I4, slash, spur
+from .dirac import ALPHA, BETA, GAMMA, I4, slash, spur
 from .errors import DomainError
 from .kinematics import ElectronState, FourVector
 
-C_MATRIX = None  # set below; charge-conjugation matrix gamma2 = -i beta alpha2
+C_MATRIX = GAMMA[1]  # charge-conjugation matrix gamma2 = -i beta alpha2
 
 
 def plane_wave_spinors(state: ElectronState, energy_sign: int = +1):
@@ -141,14 +141,4 @@ def probability_density(u: np.ndarray) -> float:
 
 def current_density(u: np.ndarray) -> np.ndarray:
     """psi* alpha^k psi, the three flow components."""
-    from .dirac import ALPHA
     return np.array([complex(u.conj() @ a @ u).real for a in ALPHA])
-
-
-def _init():
-    global C_MATRIX
-    from .dirac import GAMMA
-    C_MATRIX = GAMMA[1]  # gamma2
-
-
-_init()

@@ -8,6 +8,7 @@ import struct
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from qed51 import cli, radiative, wick
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "output-schema.json"
+SCHEMA = json.loads((Path(__file__).resolve().parents[1]
+                     / "docs" / "output-schema.json").read_text())
 
 
 def run(argv):
@@ -23,25 +25,6 @@ def run(argv):
     with redirect_stdout(buf):
         code = cli.main(argv)
     return code, buf.getvalue()
-
-
-def validate_against_schema(doc):
-    """Minimal validator for the shipped output schema."""
-    schema = json.loads(SCHEMA_PATH.read_text())
-    for key in schema["required"]:
-        assert key in doc, f"missing key {key}"
-    assert set(doc) <= set(schema["properties"])
-    assert isinstance(doc["title"], str)
-    cfg = doc["config"]
-    assert cfg["constants"] in ("modern", "1951")
-    assert 0.0 < cfg["alpha"] < 0.1
-    assert cfg["units"] in ("natural", "SI", "MeV", "megacycles")
-    assert isinstance(doc["columns"], list) and doc["columns"]
-    assert all(isinstance(c, str) for c in doc["columns"])
-    for row in doc["rows"]:
-        assert isinstance(row, list)
-        assert all(isinstance(c, (int, float, str)) for c in row)
-    assert isinstance(doc["meta"], dict)
 
 
 def test_lamb_contains_golden_number_under_1951():
@@ -56,7 +39,7 @@ def test_lamb_budget_terms_sum():
     code, out = run(["lamb", "--budget", "--constants", "1951", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
-    validate_against_schema(doc)
+    jsonschema.validate(doc, SCHEMA)
     rows = {name: val for name, val in doc["rows"]}
     total = rows.pop("total")
     assert abs(sum(rows.values()) - total) < 1e-9
@@ -115,10 +98,30 @@ def test_json_outputs_validate():
                  ["o16", "--format", "json"],
                  ["vacpol", "--q2", "-5", "--format", "json"],
                  ["wick", "count", "--product", "two-vertex-current",
-                  "--format", "json"]):
+                  "--format", "json"],
+                 ["xsec", "compton", "--eps", "1", "--theta-grid", "0:180:7",
+                  "--format", "json"],
+                 ["o16", "--spectrum", "--format", "json"]):
         code, out = run(argv)
         assert code == 0
-        validate_against_schema(json.loads(out))
+        jsonschema.validate(json.loads(out), SCHEMA)
+
+
+@pytest.mark.parametrize("argv", [
+    ["xsec", "moller", "--gamma", "2", "--theta-grid", "10:50:5"],
+    ["xsec", "compton", "--eps", "1.3", "--theta-grid", "0:180:7", "--phi", "30"],
+    ["xsec", "mott", "--energy", "1.5", "--Z", "79", "--theta-grid", "30:150:7"],
+    ["o16", "--spectrum"],
+], ids=" ".join)
+def test_csv_numeric_cells_are_plain_floats(argv):
+    # a numpy scalar in a table would print as np.float64(...) under numpy 2
+    code, out = run(argv + ["--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows
+    for row in rows:
+        for cell in row:
+            assert repr(float(cell)) == cell
 
 
 # The README grids, then edge cases: a signed zero, a step that underflows
@@ -142,6 +145,27 @@ def test_theta_grid_is_numpy_linspace_bit_for_bit(start, end, count):
         expected = np.linspace(start, end, count)
     assert all(type(x) is float for x in grid)
     assert struct.pack(f"<{count}d", *grid) == expected.tobytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vacpol", f"--grid=-8:4:{cli.MAX_GRID_POINTS + 1}"],
+    ["xsec", "compton", "--eps", "1", "--theta-grid", f"0:180:{cli.MAX_GRID_POINTS + 1}"],
+], ids=" ".join)
+def test_grid_size_limit_exits_two_before_building(argv, monkeypatch, capsys):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "_linspace", no_grid)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error: ") and f"<= {cli.MAX_GRID_POINTS}" in err
+
+
+def test_grid_size_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "_linspace", lambda start, end, count: [count])
+    assert cli._theta_grid(f"0:1:{cli.MAX_GRID_POINTS}") == [cli.MAX_GRID_POINTS]
 
 
 def test_usage_error_exits_one(capsys):

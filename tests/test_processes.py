@@ -5,7 +5,7 @@ import pytest
 
 from qed51 import processes as pr
 from qed51 import spinors
-from qed51.errors import DomainError
+from qed51.errors import DomainError, PoleError
 from qed51.kinematics import ElectronState, FourVector, electron_from_energy
 
 ALPHA = 1.0 / 137.036
@@ -321,6 +321,20 @@ def test_paircreation_crossing():
     assert abs(pair - crossed) < 1e-12 * max(1.0, abs(pair))
 
 
+def test_internal_line_on_shell_raises_pole_error():
+    # k' = 0 puts the p - k' line of both elements exactly on the mass shell
+    # of an electron at rest, p.p + 1 = 0
+    ff = lambda q: 1.0
+    p = FourVector(0, 0, 0, 1.0)
+    u = spinors.plane_wave_spinors(ElectronState(p), +1)[0]
+    zero = FourVector(0, 0, 0, 0)
+    ep = FourVector(0, 1, 0, 0)
+    with pytest.raises(PoleError):
+        pr.bremsstrahlung_me(p, u, p, u, zero, ep, ff, ALPHA)
+    with pytest.raises(PoleError):
+        pr.paircreation_me(p, u, p, u, zero, ep, ff, ALPHA)
+
+
 # ---------------------------------------------------------------------------
 # O16 pair emission.
 
@@ -445,14 +459,6 @@ def test_bhabha_conservation_enforced():
         pr.bhabha_amplitude(p_in, u, q_in, v, p_in, u, p_in, v, ALPHA)
 
 
-def test_sample_distribution_nonnegative_grid():
-    thetas = np.linspace(0.2, math.pi - 0.2, 25)
-    dist = pr.sample_distribution(lambda t: pr.kn_dcs(1.3, t, unpolarized=True),
-                                  thetas)
-    assert dist.theta.shape == dist.value.shape
-    assert (dist.value >= 0.0).all()
-
-
 def test_differential_cross_sections_nonnegative():
     rng = np.random.default_rng(77)
     for _ in range(100):
@@ -461,6 +467,8 @@ def test_differential_cross_sections_nonnegative():
         assert pr.moller_dcs(gamma, theta, ALPHA) >= 0.0
         energy = rng.uniform(1.01, 5.0)
         assert pr.mott_dcs(energy, rng.uniform(1e-2, math.pi), 1.0, ALPHA) >= 0.0
+        eps = rng.uniform(0.0, 5.0)
+        assert pr.kn_dcs(eps, rng.uniform(0.0, math.pi), unpolarized=True) >= 0.0
 
 
 def test_dipole_rate_against_hydrogen_2p_lifetime():
