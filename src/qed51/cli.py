@@ -6,8 +6,9 @@ stdout carries data; stderr carries diagnostics.
 """
 
 # The module docstring is the --help description.  Each handler imports the
-# modules it computes with, so the scalar commands (lamb, uehling, moment,
-# vacpol, hydrogen, wick) and usage errors never load numpy.
+# modules it computes with, so every command but verify (xsec, annihilate,
+# hydrogen, o16, vacpol, uehling, lamb, moment, wick) and usage errors never
+# load numpy.
 
 from __future__ import annotations
 
@@ -170,9 +171,9 @@ def cmd_annihilate(args, config: RunConfig) -> Table:
                       ["rate", 1.0 / tau, "1/s"],
                       ["triplet_2gamma", 0.0, "(forbidden)"]])
     rate = processes.annihilation_rate(args.rho, alpha)
-    sigma = processes.slow_annihilation_cross_section(args.v) if args.v else None
     rows = [["rate", rate.rate, "mc^2/hbar"], ["lifetime", rate.lifetime, "hbar/mc^2"]]
-    if sigma is not None:
+    if args.v is not None:
+        sigma = processes.slow_annihilation_cross_section(args.v)
         unit, scale = _xsec_unit(config)
         rows.append([f"sigma(v={args.v})", sigma * scale, unit.replace("/sr", "")])
     return Table(f"Singlet annihilation (rho = {args.rho})",

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 ONSHELL_TOL = 1e-10
@@ -105,6 +103,8 @@ def electron_at_rest(mass: float = 1.0) -> ElectronState:
 
 def electron_from_energy(energy: float, direction, mass: float = 1.0) -> ElectronState:
     """On-shell electron with given total energy moving along ``direction``."""
+    import numpy as np
+
     if energy < mass:
         raise DomainError(f"energy {energy} below rest mass {mass}")
     d = np.asarray(direction, dtype=float)

@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import numerics
 from .constants import (C_CM_S, O16_ALPHA, O16_HBAR_C_MEV_CM, O16_HBAR_MEV_S,
                         O16_MC2_MEV)
-from .dirac import GAMMA, I4, slash, spur
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .kinematics import (ElectronState, FourVector, compton_shift,
                          electron_at_rest, moller_cm_angle, moller_cm_momenta,
                          two_body_cross_section)
 from .propagators import IEpsilonPolicy, electron_propagator
-from .spinors import adjoint, bar_sandwich, plane_wave_spinors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 # internal electron lines are exact-mode propagators: PoleError on shell
@@ -54,6 +54,11 @@ def moller_dcs(gamma: float, theta: float, alpha: float,
     x = moller_cm_angle(gamma, theta)
     beta2 = 1.0 - 1.0 / gamma**2
     one_m_x2 = 1.0 - x * x
+    if one_m_x2 <= 0.0:
+        # sin^2 theta* is below the rounding of x = cos theta*, at the
+        # Coulomb singularity theta* -> 0 or pi
+        raise NumericError(f"Moller cross section: 1 - cos^2(theta*) rounds to "
+                           f"{one_m_x2!r} at lab angle {theta!r}")
     bracket = 4.0 / one_m_x2**2 - 3.0 / one_m_x2
     if spin_resolved:
         bracket += ((gamma - 1.0) / (2.0 * gamma)) ** 2 * (1.0 + 4.0 / one_m_x2)
@@ -66,13 +71,15 @@ def moller_amplitude(p1, u1, p2, u2, p1p, u1p, p2p, u2p, alpha: float) -> comple
     """Invariant matrix element envelope K (direct minus exchange):
     -i e^2 sum_mu [(u1'bar g u1)(u2'bar g u2)/(p1-p1')^2 - exchange],
     Heaviside-Lorentz normalization e^2 = 4 pi alpha."""
+    from . import dirac, spinors
+
     e2 = 4.0 * math.pi * alpha
     q_direct = p1 - p1p
     q_exch = p1 - p2p
     direct = exch = 0.0j
-    for g in GAMMA:
-        direct += (adjoint(u1p) @ g @ u1) * (adjoint(u2p) @ g @ u2)
-        exch += (adjoint(u2p) @ g @ u1) * (adjoint(u1p) @ g @ u2)
+    for g in dirac.GAMMA:
+        direct += (spinors.adjoint(u1p) @ g @ u1) * (spinors.adjoint(u2p) @ g @ u2)
+        exch += (spinors.adjoint(u2p) @ g @ u1) * (spinors.adjoint(u1p) @ g @ u2)
     return -1j * e2 * (direct / q_direct.dot(q_direct)
                        - exch / q_exch.dot(q_exch))
 
@@ -81,15 +88,17 @@ def moller_dcs_brute(gamma: float, theta: float, alpha: float) -> float:
     """dsigma/dOmega* from the explicit sum over all 16 spin configurations
     of the matrix element, assembled through the general two-body
     cross-section formula.  Independent oracle for moller_dcs."""
+    from . import spinors
+
     x = moller_cm_angle(gamma, theta)
     p1, p2, p1p, p2p = moller_cm_momenta(gamma, x)
     states = [ElectronState(p) for p in (p1, p2, p1p, p2p)]
-    spinors = [plane_wave_spinors(s, +1) for s in states]
+    legs = [spinors.plane_wave_spinors(s, +1) for s in states]
     total = 0.0
-    for u1 in spinors[0]:
-        for u2 in spinors[1]:
-            for u1p in spinors[2]:
-                for u2p in spinors[3]:
+    for u1 in legs[0]:
+        for u2 in legs[1]:
+            for u1p in legs[2]:
+                for u2p in legs[3]:
                     k = moller_amplitude(p1, u1, p2, u2, p1p, u1p, p2p, u2p, alpha)
                     total += abs(k) ** 2
     k_eff = math.sqrt(total / 4.0)   # average initial spins, sum final
@@ -126,8 +135,10 @@ def bhabha_amplitude(p_in: FourVector, u_in, q_in: FourVector, v_in,
 # Compton scattering / Klein-Nishina.
 
 def _compton_vertex(k, e, kp, ep) -> np.ndarray:
-    return (slash(e) @ slash(kp) @ slash(ep) / kp.x0
-            + slash(ep) @ slash(k) @ slash(e) / k.x0)
+    from . import dirac
+
+    return (dirac.slash(e) @ dirac.slash(kp) @ dirac.slash(ep) / kp.x0
+            + dirac.slash(ep) @ dirac.slash(k) @ dirac.slash(e) / k.x0)
 
 
 def compton_geometry(eps: float, theta: float):
@@ -154,13 +165,15 @@ def compton_amplitude(p: FourVector, k: FourVector, e: FourVector,
                       u: np.ndarray, up: np.ndarray, alpha: float) -> complex:
     """The amplitude K = (e^2/2m) u'bar [eslash k'slash/k0' e'slash +
     e'slash kslash/k0 eslash] u for an electron initially at rest."""
+    from . import spinors
+
     if max(abs(p.x1), abs(p.x2), abs(p.x3)) > 1e-12:
         raise DomainError("electron must be initially at rest")
     for photon_k, pol in ((k, e), (kp, ep)):
         if abs(pol.x0) > 1e-10 or abs(pol.dot(photon_k)) > 1e-9:
             raise DomainError("unphysical photon polarization")
     e2 = 4.0 * math.pi * alpha
-    return bar_sandwich(up, _compton_vertex(k, e, kp, ep), u) * e2 / 2.0
+    return spinors.bar_sandwich(up, _compton_vertex(k, e, kp, ep), u) * e2 / 2.0
 
 
 def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
@@ -176,19 +189,21 @@ def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
     if route == "closed":
         k0, k0p = k.x0, kp.x0
         return e2**2 / 4.0 * ((k0 - k0p) ** 2 / (k0 * k0p) + 4.0 * e.dot(ep) ** 2)
+    from . import dirac, spinors
+
     ops = _compton_vertex(k, e, kp, ep)
     ops_rev = _compton_vertex(k, ep, kp, e)  # reversed factor order partner
     if route == "trace":
-        lam = slash(p) + 1j * I4
-        lam_p = slash(pp) + 1j * I4
-        val = spur(lam @ ops_rev @ lam_p @ ops)
+        lam = dirac.slash(p) + 1j * dirac.I4
+        lam_p = dirac.slash(pp) + 1j * dirac.I4
+        val = dirac.spur(lam @ ops_rev @ lam_p @ ops)
         return (e2**2 / 32.0) * val.real
     if route == "spinors":
         st, stp = electron_at_rest(), ElectronState(pp)
         total = 0.0
-        for u in plane_wave_spinors(st, +1):
-            for up in plane_wave_spinors(stp, +1):
-                total += abs(bar_sandwich(up, ops, u)) ** 2
+        for u in spinors.plane_wave_spinors(st, +1):
+            for up in spinors.plane_wave_spinors(stp, +1):
+                total += abs(spinors.bar_sandwich(up, ops, u)) ** 2
         return (e2 / 2.0) ** 2 * total / 2.0
     raise DomainError(f"unknown route {route!r}")
 
@@ -238,7 +253,10 @@ def thomson_total_numeric(eps: float = 0.0) -> float:
 def annihilation_vertex(k: FourVector, e: FourVector,
                         kp: FourVector, ep: FourVector) -> np.ndarray:
     """eslash k'slash e'slash + e'slash kslash eslash (rest-frame kinematics)."""
-    return slash(e) @ slash(kp) @ slash(ep) + slash(ep) @ slash(k) @ slash(e)
+    from . import dirac
+
+    return (dirac.slash(e) @ dirac.slash(kp) @ dirac.slash(ep)
+            + dirac.slash(ep) @ dirac.slash(k) @ dirac.slash(e))
 
 
 def annihilation_amplitude(u: np.ndarray, u_neg: np.ndarray,
@@ -247,7 +265,9 @@ def annihilation_amplitude(u: np.ndarray, u_neg: np.ndarray,
     """Matrix element u_neg-bar (eslash k'slash e'slash + e'slash kslash
     eslash) u between a positive-energy electron spinor and the
     negative-energy spinor representing the positron."""
-    return bar_sandwich(u_neg, annihilation_vertex(k, e, kp, ep), u)
+    from . import spinors
+
+    return spinors.bar_sandwich(u_neg, annihilation_vertex(k, e, kp, ep), u)
 
 
 def rest_annihilation_photons(mass: float = 1.0):
@@ -263,12 +283,14 @@ def _rest_annihilation(parallel_polarizations: bool):
     """a(i, j): the rest-frame matrix element between electron spinor i and
     negative-energy spinor j, with the photons and polarizations of
     rest_annihilation_photons (e' = e when parallel)."""
+    from . import spinors
+
     k, kp, e, ep = rest_annihilation_photons()
     if parallel_polarizations:
         ep = e
     rest = electron_at_rest()
-    us = plane_wave_spinors(rest, +1)
-    vs = plane_wave_spinors(rest, -1)
+    us = spinors.plane_wave_spinors(rest, +1)
+    vs = spinors.plane_wave_spinors(rest, -1)
     return lambda i, j: annihilation_amplitude(us[i], vs[j], e, ep, k, kp)
 
 
@@ -332,7 +354,10 @@ def coulomb_formfactor(q_mag: float, z_charge: float, alpha: float) -> float:
     (Heaviside-Lorentz, e^2 = 4 pi alpha)."""
     if q_mag <= 0:
         raise DomainError("momentum transfer must be nonzero")
-    return 4.0 * math.pi * z_charge * alpha / q_mag**2
+    q2 = q_mag**2
+    if q2 == 0.0:
+        raise NumericError(f"|V(q)| overflows: q = {q_mag!r} squares to 0")
+    return 4.0 * math.pi * z_charge * alpha / q2
 
 
 def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
@@ -345,9 +370,17 @@ def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> floa
     pmag = math.sqrt(energy**2 - 1.0)
     beta2 = (pmag / energy) ** 2
     q = 2.0 * pmag * math.sin(theta / 2.0)
+    if q == 0.0:
+        raise NumericError(f"Mott cross section overflows: q rounds to 0 at theta = {theta!r}")
     vq = coulomb_formfactor(q, z_charge, alpha)
-    sigma = (energy / TWO_PI) ** 2 * (1.0 - beta2 * math.sin(theta / 2.0) ** 2) * vq**2
-    return sigma / alpha**2
+    try:
+        sigma = (energy / TWO_PI) ** 2 * (1.0 - beta2 * math.sin(theta / 2.0) ** 2) * vq**2
+    except OverflowError:
+        sigma = math.inf
+    sigma /= alpha**2
+    if math.isinf(sigma):
+        raise NumericError(f"Mott cross section overflows at theta = {theta!r}")
+    return sigma
 
 
 def rutherford_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
@@ -367,12 +400,14 @@ def bremsstrahlung_me(p: FourVector, u: np.ndarray, pp: FourVector, up: np.ndarr
     """Matrix element for photon emission in a static external potential:
     -e^2 f(q) u'bar { eslash (p-k')-line e'slash + e'slash (p'+k')-line
     eslash } u with the static vertex eslash = i gamma4 f(q), q = p'+k'-p."""
+    from . import dirac, spinors
+
     e2 = 4.0 * math.pi * alpha
     q = pp + kp - p
-    vertex_e = 1j * GAMMA[3]
-    mid = (vertex_e @ electron_propagator(p - kp, policy=_EXACT) @ slash(ep)
-           + slash(ep) @ electron_propagator(pp + kp, policy=_EXACT) @ vertex_e)
-    return -e2 * formfactor(q) * bar_sandwich(up, mid, u)
+    vertex_e = 1j * dirac.GAMMA[3]
+    mid = (vertex_e @ electron_propagator(p - kp, policy=_EXACT) @ dirac.slash(ep)
+           + dirac.slash(ep) @ electron_propagator(pp + kp, policy=_EXACT) @ vertex_e)
+    return -e2 * formfactor(q) * spinors.bar_sandwich(up, mid, u)
 
 
 def paircreation_me(p: FourVector, u: np.ndarray, p_plus: FourVector,
@@ -381,12 +416,14 @@ def paircreation_me(p: FourVector, u: np.ndarray, p_plus: FourVector,
     """Pair creation by a photon in a static potential; same two-propagator
     element with the legs relabeled (crossing): u-bar { eslash (k'-p+)-line
     e'slash + e'slash (p-k')-line eslash } u+."""
+    from . import dirac, spinors
+
     e2 = 4.0 * math.pi * alpha
     q = p + p_plus - kp
-    vertex_e = 1j * GAMMA[3]
-    mid = (vertex_e @ electron_propagator(kp - p_plus, policy=_EXACT) @ slash(ep)
-           + slash(ep) @ electron_propagator(p - kp, policy=_EXACT) @ vertex_e)
-    return -e2 * formfactor(q) * bar_sandwich(u, mid, u_plus)
+    vertex_e = 1j * dirac.GAMMA[3]
+    mid = (vertex_e @ electron_propagator(kp - p_plus, policy=_EXACT) @ dirac.slash(ep)
+           + dirac.slash(ep) @ electron_propagator(p - kp, policy=_EXACT) @ vertex_e)
+    return -e2 * formfactor(q) * spinors.bar_sandwich(u, mid, u_plus)
 
 
 def soft_photon_factor(p: FourVector, pp: FourVector, kp: FourVector,
@@ -401,9 +438,11 @@ def elastic_me(p: FourVector, u: np.ndarray, pp: FourVector, up: np.ndarray,
     """Born element e f(q) (u'bar i gamma4 u) the soft limit refers to,
     times e/(hbar c) so that soft_photon_factor * elastic_me has the
     normalization of bremsstrahlung_me."""
+    from . import dirac, spinors
+
     e2 = 4.0 * math.pi * alpha
     q = pp - p
-    return e2 * formfactor(q) * bar_sandwich(up, 1j * GAMMA[3], u)
+    return e2 * formfactor(q) * spinors.bar_sandwich(up, 1j * dirac.GAMMA[3], u)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,15 @@ def test_annihilate_positronium_value():
     assert abs(float(rows["lifetime"]) / 1.2e-10 - 1.0) < 0.05
 
 
+def test_annihilate_zero_velocity_exits_two(capsys):
+    for v in ("0", "-1"):
+        code = cli.main(["annihilate", "rate", "--v", v])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "domain error: relative velocity must be positive\n"
+
+
 def test_numeric_error_exits_three(monkeypatch):
     from qed51.errors import NumericError
 
@@ -319,6 +328,9 @@ OVERFLOW_ARGV = (
     ["xsec", "mott", "--energy", "1e300", "--theta-grid", "30:150:3"],
     ["hydrogen", "landau", "--B", "1e308", "--pz", "1e308", "--M", "6"],
     ["o16", "--deltaE", "1e300MeV"],
+    # positive angles whose sin^2 theta* (Moller) or q^2 (Mott) rounds to 0
+    ["xsec", "moller", "--gamma", "2", "--theta-grid", "1e-160:1e-160:1"],
+    ["xsec", "mott", "--energy", "1.5", "--theta-grid", "1e-170:1e-170:1"],
 )
 
 

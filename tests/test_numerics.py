@@ -50,13 +50,14 @@ print("scipy.integrate" in sys.modules)
     assert res.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
-SCALAR_COMMANDS = {"lamb", "uehling", "moment", "vacpol", "hydrogen", "wick"}
+SCALAR_COMMANDS = {"xsec", "annihilate", "o16", "lamb", "uehling", "moment",
+                   "vacpol", "hydrogen", "wick"}
 
 
 def test_scalar_cli_examples_leave_numpy_unloaded(tmp_path):
     # one child runs the scalar README examples and a usage error, and reports
-    # the first argv after which numpy is loaded; xsec, the positive control,
-    # loads it
+    # the first argv after which numpy is loaded; verify, the positive
+    # control, loads it
     examples = [argv for argv in readme_cli_examples() if argv[0] in SCALAR_COMMANDS]
     assert {argv[0] for argv in examples} == SCALAR_COMMANDS
     script = """
@@ -72,7 +73,7 @@ def loads_numpy(argv):
             pass
     return "numpy" in sys.modules
 print([argv for argv in json.loads(sys.argv[1]) if loads_numpy(argv)][:1])
-print(loads_numpy(["xsec", "moller", "--gamma", "2", "--theta-grid", "10:50:5"]))
+print(loads_numpy(["verify", "tables"]))
 """
     res = subprocess.run([sys.executable, "-c", script,
                           json.dumps(examples + [["frobnicate"]])],

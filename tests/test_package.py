@@ -26,6 +26,23 @@ print("numpy" in sys.modules)
     assert res.stdout.splitlines() == ["False ['qed51.errors']", "True"]
 
 
+def test_processes_and_kinematics_import_without_numpy(tmp_path):
+    # the closed forms are math only; the amplitude oracles load numpy when
+    # first called, and the brute-force Moller sum still matches its closed form
+    script = """
+import sys
+import qed51.kinematics, qed51.processes as pr
+print("numpy" in sys.modules, pr.moller_dcs(2.0, 0.5, 1 / 137.036) > 0.0)
+brute = pr.moller_dcs_brute(2.0, 0.5, 1 / 137.036)
+print("numpy" in sys.modules, abs(brute / pr.moller_dcs(2.0, 0.5, 1 / 137.036) - 1.0) < 1e-8)
+"""
+    res = subprocess.run([sys.executable, "-c", script],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False True", "True True"]
+
+
 def test_every_public_name_resolves():
     for name in qed51.__all__:
         value = getattr(qed51, name)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qed51 import processes as pr
 from qed51 import spinors
-from qed51.errors import DomainError, PoleError
+from qed51.errors import DomainError, NumericError, PoleError
 from qed51.kinematics import ElectronState, FourVector, electron_from_energy
 
 ALPHA = 1.0 / 137.036
@@ -51,6 +53,22 @@ def test_moller_domain_errors():
         pr.moller_dcs(2.0, 0.0, ALPHA)
     with pytest.raises(DomainError):
         pr.moller_dcs(2.0, math.pi / 2, ALPHA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1.01, max_value=50.0),
+       st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True,
+                 exclude_max=True))
+@example(2.0, math.radians(1e-160))
+@example(2.0, math.radians(1e-8))
+@example(50.0, math.nextafter(math.pi / 2, 0.0))
+def test_moller_dcs_finite_positive_or_numeric_error(gamma, theta):
+    # near theta* = 0 and pi, 1 - cos^2 theta* rounds to 0 or below
+    try:
+        val = pr.moller_dcs(gamma, theta, ALPHA)
+    except NumericError:
+        return
+    assert math.isfinite(val) and val > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +257,23 @@ def test_mott_forward_divergence_guard():
         pr.mott_dcs(1.5, 0.0, 1.0, ALPHA)
     with pytest.raises(DomainError):
         pr.mott_dcs(0.9, 1.0, 1.0, ALPHA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1.01, max_value=50.0),
+       st.floats(min_value=0.0, max_value=math.pi, exclude_min=True))
+@example(1.5, math.radians(1e-170))
+@example(1.5, math.radians(1e-160))
+@example(1.5, math.radians(1e-100))
+@example(1.5, 5e-324)
+def test_mott_dcs_finite_positive_or_numeric_error(energy, theta):
+    # as theta -> 0 the value grows as 1/q^4 past the float range, and q^2
+    # underflows to 0
+    try:
+        val = pr.mott_dcs(energy, theta, 79.0, ALPHA)
+    except NumericError:
+        return
+    assert math.isfinite(val) and val > 0.0
 
 
 def test_coulomb_formfactor():
