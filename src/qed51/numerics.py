@@ -82,9 +82,13 @@ def quad(f, a, b, *, tol: float, what: str, **quad_kw) -> float:
 
 def quad_complex(f, a, b, *, tol: float, what: str, **quad_kw) -> complex:
     """Real and imaginary parts of a complex integrand by two quad calls;
-    the larger error estimate is checked against the larger part."""
-    re, re_err = _quad(lambda t: f(t).real, a, b, what, quad_kw)
-    im, im_err = _quad(lambda t: f(t).imag, a, b, what, quad_kw)
+    the larger error estimate is checked against the larger part.  f is
+    evaluated once per node for the whole call: the imaginary pass reads
+    the values the real pass cached at the nodes they share, so a nested
+    integrand (feynman_combine3's inner quad_complex) is not solved twice."""
+    cached = functools.cache(f)
+    re, re_err = _quad(lambda t: cached(t).real, a, b, what, quad_kw)
+    im, im_err = _quad(lambda t: cached(t).imag, a, b, what, quad_kw)
     _check(max(re_err, im_err), max(abs(re), abs(im)), tol, what)
     return complex(re, im)
 
@@ -95,7 +99,16 @@ def ode_endpoint(rhs, t_span, y0, *, what: str, **odeint_kw):
     Adams/BDF integrator behind scipy.integrate.odeint, capped at
     ODE_MAX_STEPS steps.  odeint signals failure (negative istate) only by
     an ODEintWarning; that becomes NumericError, and no warning from the
-    solve or the right-hand side escapes."""
+    solve or the right-hand side escapes.
+
+    rhs receives t as a float and y as a 1-D ndarray, once per LSODA
+    function evaluation; it should compute on Python floats, as
+    hydrogen._radial_rhs does.
+
+    Not thread-safe: warnings.catch_warnings() swaps the process-global
+    warning filters for the length of the solve, so a concurrent thread
+    can lose or gain filters.  odeint warns whatever full_output says, so
+    the filter cannot be dropped the way _quad drops it."""
     from scipy import integrate
 
     with warnings.catch_warnings():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qed51 import hydrogen as hyd
 from qed51.constants import ERA_1951, MODERN
@@ -111,6 +113,25 @@ def test_series_coefficients_solve_odes():
     gp = float(ds @ dpowers)
     assert abs(fp - ((a + qn.k / r) * f - (ALPHA / r + a2) * g)) < 1e-9 * abs(fp)
     assert abs(gp - ((ALPHA / r - a1) * f + (a - qn.k / r) * g)) < 1e-9 * max(abs(gp), abs(fp))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e4),
+       st.floats(min_value=-1e6, max_value=1e6),
+       st.floats(min_value=-1e6, max_value=1e6),
+       st.integers(min_value=-6, max_value=6).filter(bool),
+       st.floats(min_value=1e-4, max_value=0.099),
+       st.floats(min_value=0.5, max_value=1.0 - 1e-9))
+def test_radial_rhs_rounds_like_numpy_scalars(r, f, g, k, alpha, energy):
+    # the right-hand side unpacks LSODA's ndarray to Python floats; each
+    # operation must round as it did on numpy.float64, so every shot stays
+    # bit-identical
+    a1, a2, a = hyd._rate_constants(energy)
+    df, dg = hyd._radial_rhs(alpha, k, a1, a2, a)(r, np.array([f, g]))
+    f64, g64 = np.float64(f), np.float64(g)
+    want_df = (a + k / r) * f64 - (alpha / r + a2) * g64
+    want_dg = (alpha / r - a1) * f64 + (a - k / r) * g64
+    assert (float(df).hex(), float(dg).hex()) == (float(want_df).hex(), float(want_dg).hex())
 
 
 def test_shooting_matches_closed_form_n_le_2():

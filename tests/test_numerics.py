@@ -190,6 +190,19 @@ def test_quad_and_quad_complex_leave_the_warning_filters_alone(monkeypatch):
                               tol=1.0, what="oscillatory integral", limit=5)
 
 
+def test_quad_complex_evaluates_each_node_once():
+    nodes = []
+
+    def f(t):
+        nodes.append(t)
+        return complex(math.cos(t), math.sin(t))
+
+    val = numerics.quad_complex(f, 0.0, math.pi, tol=1e-10, what="half circle")
+    assert abs(val - 2j) < 1e-14
+    assert len(nodes) >= 21
+    assert len(nodes) == len(set(nodes))
+
+
 def test_root_finds_a_bracketed_zero():
     assert abs(numerics.root(math.cos, 0.0, 2.0, xtol=1e-13, what="cos") - math.pi / 2) < 1e-12
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qed51 import numerics
 from qed51 import propagators as prop
 from qed51.dirac import slash
 from qed51.errors import DomainError, PoleError
@@ -92,6 +93,30 @@ def test_feynman_combine3_degenerate_matches_combine2():
     collapse = prop.feynman_combine2(4.0, 5.0 * 4.0 / 4.0, EXACT)  # 1/(4*5) = 1/20
     assert abs(val - 1.0 / 20.0) < 1e-8
     assert abs(val - collapse / 1.0) < 1e-8
+
+
+def test_feynman_combine3_solves_each_inner_integral_once(monkeypatch):
+    # quad_complex evaluates its integrand once per node, so the imaginary
+    # pass of the outer integral reuses the inner integrals of the real pass
+    quad_complex = numerics.quad_complex
+    outer_x, inner_calls = [], []
+
+    def counted(f, a, b, *, what, **kw):
+        if what != "2-D quadrature":
+            inner_calls.append(what)
+            return quad_complex(f, a, b, what=what, **kw)
+
+        def outer(x):
+            outer_x.append(x)
+            return f(x)
+
+        return quad_complex(outer, a, b, what=what, **kw)
+
+    monkeypatch.setattr(numerics, "quad_complex", counted)
+    assert abs(prop.feynman_combine3(1.0, 2.0, 4.0, EXACT) - 0.125) < 1e-8
+    assert len(outer_x) >= 21
+    assert len(outer_x) == len(set(outer_x))
+    assert len(inner_calls) == len(outer_x)
 
 
 def test_feynman_combine3_pole_detection():
