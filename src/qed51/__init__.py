@@ -22,7 +22,7 @@ from .errors import DomainError, NumericError, PoleError, QedError
 
 _SUBMODULES = (
     "constants", "dirac", "kinematics", "spinors", "propagators", "processes",
-    "hydrogen", "radiative", "wick", "numerics",
+    "hydrogen", "radiative", "wick", "numerics", "oracles",
 )
 
 __all__ = [

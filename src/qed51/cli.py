@@ -103,6 +103,15 @@ def _theta_grid(spec: str):
     return _linspace(start, end, count)
 
 
+def _finite_grid(spec: str):
+    """The points of _theta_grid(spec); an infinite endpoint, or an end - start
+    that overflows, is a domain error."""
+    points = _theta_grid(spec)
+    if not all(map(math.isfinite, points)):
+        raise DomainError(f"grid spec {spec!r} has points that are not finite numbers")
+    return points
+
+
 def _linspace(start: float, end: float, count: int):
     """numpy.linspace's arithmetic, point for point, without importing numpy."""
     delta = end - start
@@ -135,7 +144,7 @@ def cmd_xsec(args, config: RunConfig) -> Table:
 
     unit, scale = _xsec_unit(config)
     alpha = config.alpha
-    degrees = _theta_grid(args.theta_grid)
+    degrees = _finite_grid(args.theta_grid)
     if args.process == "moller":
         fn = lambda th: processes.moller_dcs(args.gamma, th, alpha)
         title = f"Moller dsigma/dOmega* (gamma = {args.gamma}) [{unit}]"
@@ -243,7 +252,7 @@ def cmd_vacpol(args, config: RunConfig) -> Table:
     from . import radiative
 
     alpha = config.alpha
-    q2s = [args.q2] if args.grid is None else _theta_grid(args.grid)
+    q2s = [args.q2] if args.grid is None else _finite_grid(args.grid)
     rows = []
     for q2 in q2s:
         res = radiative.vacuum_polarization(q2, alpha)
@@ -345,7 +354,11 @@ def cmd_wick(args, config: RunConfig) -> Table:
                           f"wick graphs draws at most {MAX_GRAPHS}")
     # Each graph is built once and dropped after its DOT text and row.
     rows = []
-    with open(args.dot, "w") if args.dot else contextlib.nullcontext() as dot:
+    try:
+        dot_file = open(args.dot, "w") if args.dot else contextlib.nullcontext()
+    except OSError as exc:
+        raise QedError(f"cannot write the DOT file {args.dot!r}: {exc.strerror}") from None
+    with dot_file as dot:
         for i, (p, s) in enumerate(pairings, 1):
             g = wick.to_graph(p, prod, s)
             if dot:
@@ -361,97 +374,23 @@ def cmd_wick(args, config: RunConfig) -> Table:
 def cmd_verify(args, config: RunConfig) -> Table:
     from . import dirac
 
-    checks = []
     if args.which == "tables":
-        convs = [args.convention] if args.convention else [DYSON, FEYNMAN]
-        for conv in convs:
-            rep = dirac.verify_identity_tables(conv)
-            checks.append([f"{conv} table ({len(rep.entries)} identities)",
-                           rep.max_deviation, "pass" if rep.passed else "FAIL"])
+        reps = [dirac.verify_identity_tables(conv)
+                for conv in ([args.convention] if args.convention else [DYSON, FEYNMAN])]
+        checks = [[f"{rep.convention} table ({len(rep.entries)} identities)",
+                   rep.max_deviation, "pass" if rep.passed else "FAIL"] for rep in reps]
     else:
-        checks = _verify_all(config)
+        import numpy as np
+
+        from . import oracles
+
+        rng = np.random.default_rng(oracles.SEED)
+        checks = [pair.row(config.alpha, rng) for pair in oracles.PAIRS]
     table = Table("Verification", ["check", "max_deviation", "status"], checks)
     if any(row[2] != "pass" for row in checks):
         raise NumericError("verification failed:\n" +
                            "\n".join(str(r) for r in checks if r[2] != "pass"))
     return table
-
-
-def _verify_all(config: RunConfig):
-    import numpy as np
-
-    from . import dirac, processes, propagators, radiative, spinors
-    from .kinematics import FourVector, electron_from_energy
-
-    alpha = config.alpha
-    rng = np.random.default_rng(20510)
-    checks = []
-
-    def add(name, dev, tol):
-        checks.append([name, float(dev), "pass" if dev < tol else "FAIL"])
-
-    for conv in (DYSON, FEYNMAN):
-        rep = dirac.verify_identity_tables(conv)
-        add(f"{conv} summary table", rep.max_deviation, 1e-12)
-
-    worst = 0.0
-    for _ in range(200):
-        vecs = [FourVector(*rng.uniform(-1, 1, size=4)) for _ in range(3)]
-        explicit = dirac.contracted_sandwich_explicit(vecs)
-        worst = max(worst, float(np.abs(explicit - dirac.contracted_sandwich(vecs)).max()))
-    add("contraction identities vs explicit sum", worst, 1e-10)
-
-    worst = 0.0
-    for _ in range(100):
-        vecs = [FourVector(*rng.uniform(-1, 1, size=4)) for _ in range(5)]
-        mats = [dirac.slash(v) for v in vecs]
-        prod = mats[0]
-        for m in mats[1:]:
-            prod = prod @ m
-        worst = max(worst, abs(dirac.spur(prod)))
-    add("spur of odd products", worst, 1e-10)
-
-    state = electron_from_energy(1.7, (0.3, -0.5, 0.81))
-    dev = float(np.abs(spinors.completeness_matrix(state) - np.eye(4)).max())
-    add("spinor completeness", dev, 1e-10)
-
-    kn_closed = processes.kn_spin_summed_ksq(1.0, math.pi / 3, *_kn_pols(), alpha)
-    kn_trace = processes.kn_spin_summed_ksq(1.0, math.pi / 3, *_kn_pols(), alpha, "trace")
-    add("Klein-Nishina trace oracle", abs(kn_trace / kn_closed - 1.0), 1e-8)
-
-    m_closed = processes.moller_dcs(2.0, math.pi / 6, alpha)
-    m_brute = processes.moller_dcs_brute(2.0, math.pi / 6, alpha)
-    add("Moller spin-sum oracle", abs(m_brute / m_closed - 1.0), 1e-8)
-
-    sf = spinors.mott_spin_factor(1.2, math.pi / 2)
-    sfd = spinors.mott_spin_factor_direct(1.2, math.pi / 2)
-    add("Mott spin-factor oracle", abs(sfd / sf - 1.0), 1e-10)
-
-    exact = propagators.IEpsilonPolicy.exact_limit()
-    add("Feynman formula 1/(ab)",
-        abs(propagators.feynman_combine2(2.0, 3.0, exact) - 1.0 / 6.0), 1e-10)
-    add("loop integral radial oracle",
-        abs(propagators.loop_integral_I_quadrature(1.0)
-            - propagators.loop_integral_I(1.0)), 1e-8)
-
-    w1 = radiative.observable_scattering_probability(1e-6, 1e-3, 0.01, alpha)
-    w2 = radiative.observable_scattering_probability(1e-4, 1e-3, 0.01, alpha)
-    add("infrared split independence", abs(w1 / w2 - 1.0), 1e-12)
-
-    sig = radiative.self_energy_z_integral(3.0)
-    add("self-energy z-integral", abs(sig - (-(math.pi**2) * (6.0 * 3.0 + 5.0))), 1e-8)
-    return checks
-
-
-def _kn_pols():
-    from .kinematics import FourVector
-
-    e = FourVector(0.0, 1.0, 0.0, 0.0)
-    th = math.pi / 3
-    a = math.sin(math.pi / 4)
-    b = math.cos(math.pi / 4)
-    ep = FourVector(a * math.cos(th), b, -a * math.sin(th), 0.0)
-    return e, ep
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +413,11 @@ def _common_options() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--constants", choices=("1951", "modern"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--alpha", type=finite_float, default=argparse.SUPPRESS)
+    common.add_argument("--alpha", type=finite_float, default=argparse.SUPPRESS,
+                        help="fine-structure constant for annihilate rate, hydrogen "
+                             "levels, vacpol, moment and verify all (default: the "
+                             "profile's); xsec values in r0^2 units do not depend on it, "
+                             "and every other value and unit conversion uses the profile")
     common.add_argument("--units", choices=("natural", "SI", "MeV", "megacycles"),
                         default=argparse.SUPPRESS)
     return common

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -115,6 +116,9 @@ class RunConfig:
         alpha = self.alpha
         if not 0.0 < alpha < 0.1:
             raise DomainError(f"alpha = {alpha} outside (0, 0.1)")
+        if alpha * alpha < sys.float_info.min:
+            # r0^2 = alpha^2 is the unit of every cross section
+            raise DomainError(f"alpha = {alpha} is so small that alpha^2 is not a normal float")
         if self.output_format not in ("csv", "json", "text"):
             raise DomainError(f"unknown output format {self.output_format!r}")
         if self.units not in ("natural", "SI", "MeV", "megacycles"):

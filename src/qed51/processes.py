@@ -51,20 +51,26 @@ def moller_dcs(gamma: float, theta: float, alpha: float,
         raise DomainError("need gamma > 1 (Coulomb divergence at zero velocity)")
     if not 0.0 < theta < math.pi / 2.0:
         raise DomainError("lab angle must lie strictly inside (0, pi/2)")
-    x = moller_cm_angle(gamma, theta)
     beta2 = 1.0 - 1.0 / gamma**2
-    one_m_x2 = 1.0 - x * x
-    if one_m_x2 <= 0.0:
-        # sin^2 theta* is below the rounding of x = cos theta*, at the
-        # Coulomb singularity theta* -> 0 or pi
-        raise NumericError(f"Moller cross section: 1 - cos^2(theta*) rounds to "
-                           f"{one_m_x2!r} at lab angle {theta!r}")
-    bracket = 4.0 / one_m_x2**2 - 3.0 / one_m_x2
+    # 1 - x^2 for x = cos theta* = moller_cm_angle(gamma, theta), as
+    # 8 (gamma+1) s^2 cos^2 theta / d^2 with s = sin theta and
+    # d = 2 + (gamma-1) s^2: 1 - x*x cancels as theta* -> 0 or pi
+    s2 = math.sin(theta) ** 2
+    d = 2.0 + (gamma - 1.0) * s2
+    one_m_x2 = 8.0 * (gamma + 1.0) * s2 * math.cos(theta) ** 2 / (d * d)
+    if one_m_x2 == 0.0:
+        raise NumericError(f"Moller cross section: sin^2(theta*) underflows to 0 "
+                           f"at lab angle {theta!r}")
+    inv = 1.0 / one_m_x2
+    bracket = 4.0 * inv * inv - 3.0 * inv
     if spin_resolved:
-        bracket += ((gamma - 1.0) / (2.0 * gamma)) ** 2 * (1.0 + 4.0 / one_m_x2)
+        bracket += ((gamma - 1.0) / (2.0 * gamma)) ** 2 * (1.0 + 4.0 * inv)
     # (e_G^2 / m v^2)^2 = (alpha / beta^2)^2; dividing by r0^2 = alpha^2
     # leaves 1/beta^4.
-    return 2.0 * (gamma + 1.0) / (gamma**2 * beta2**2) * bracket
+    dcs = 2.0 * (gamma + 1.0) / (gamma**2 * beta2**2) * bracket
+    if not math.isfinite(dcs):
+        raise NumericError(f"Moller cross section overflows at lab angle {theta!r}")
+    return dcs
 
 
 def moller_amplitude(p1, u1, p2, u2, p1p, u1p, p2p, u2p, alpha: float) -> complex:
@@ -325,6 +331,9 @@ def annihilation_rate(relative_density: float, alpha: float) -> DecayResult:
     if relative_density <= 0:
         raise DomainError("relative density must be positive")
     rate = 4.0 * math.pi * alpha**2 * relative_density
+    if rate == 0.0:
+        raise NumericError(f"annihilation rate underflows to 0 at relative density "
+                           f"{relative_density!r}")
     return DecayResult(rate=rate, lifetime=1.0 / rate,
                        notes="singlet channel; triplet 2-photon decay forbidden")
 
@@ -498,7 +507,11 @@ def o16_lifetime(delta_e_mev: float = 6.0, r0_cm: float = 4e-13,
     if mode == "rounded":
         return 15.0 * 25.0 * math.pi * 1e5 * 17.0**2 * 0.25 * (r0_cm / C_CM_S)
     if mode == "exact":
-        return 1.0 / o16_total_rate(delta_e_mev, r0_cm, z_charge)
+        rate = o16_total_rate(delta_e_mev, r0_cm, z_charge)
+        if rate == 0.0:
+            raise NumericError(f"O16 pair-emission rate is 0 at Z = {z_charge!r}, "
+                               f"r0 = {r0_cm!r} cm: the lifetime is infinite")
+        return 1.0 / rate
     raise DomainError(f"unknown mode {mode!r}")
 
 

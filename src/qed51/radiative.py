@@ -550,7 +550,8 @@ def lamb_shift_full(e_av_over_ry: float = 16.6,
     if e_av_over_ry <= 0:
         raise DomainError("average excitation energy must be positive")
     unit = alpha3_ry_mc(constants)
-    log_term = math.log(constants.mc2_over_ry / (2.0 * e_av_over_ry))
+    # halving first: 2 * e_av overflows for e_av above half the float range
+    log_term = math.log(constants.mc2_over_ry / 2.0 / e_av_over_ry)
     return LambBudget(bethe_term=unit * (log_term + 5.0 / 6.0),
                       moment_term=unit / 8.0,
                       uehling_term=-unit / 5.0)

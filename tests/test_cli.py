@@ -304,6 +304,13 @@ def test_global_flags_work_in_both_positions():
     assert pre == post
 
 
+@pytest.mark.parametrize("argv", [["lamb", "--budget"], ["uehling"],
+                                  ["annihilate", "positronium"]], ids=" ".join)
+def test_alpha_leaves_the_profile_commands_unchanged(argv):
+    # these take alpha from the --constants profile, as the README says
+    assert run(argv + ["--alpha", "0.05"]) == run(argv)
+
+
 # Malformed or non-finite numbers on the command line: each must be rejected
 # through the exit-code contract, never by a traceback or a printed nan/inf.
 BAD_NUMBER_ARGV = (
@@ -318,6 +325,8 @@ BAD_NUMBER_ARGV = (
     ["hydrogen", "landau", "--B", "0.1", "--pz", "inf"],
     ["xsec", "moller", "--gamma", "inf", "--theta-grid", "10:50:3"],
     ["xsec", "mott", "--energy", "1.5", "--Z", "nan", "--theta-grid", "30:150:3"],
+    ["annihilate", "rate", "--rho", "1e-322"],
+    ["wick", "graphs", "--product", "current^2", "--dot", "/nonexistent/dir/g.dot"],
 )
 
 

@@ -160,13 +160,6 @@ def test_closure_and_associativity_spot_checks():
         assert abs(dirac.spur(a @ b) - dirac.spur(b @ a)) < 1e-12
 
 
-def test_identity_tables_pass():
-    for conv in ("dyson", "feynman"):
-        rep = dirac.verify_identity_tables(conv)
-        assert rep.passed, rep.failures
-        assert rep.max_deviation < 1e-12
-
-
 def test_feynman_gamma5_squares_to_minus_identity():
     m = dirac.build_matrices("feynman")
     assert np.abs(m["gamma5"] @ m["gamma5"] + np.eye(4)).max() < 1e-12
