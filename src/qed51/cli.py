@@ -90,7 +90,9 @@ def emit(table: Table, config: RunConfig, stream=None) -> None:
 MAX_GRID_POINTS = 100_000
 
 
-def _theta_grid(spec: str):
+def _finite_grid(spec: str):
+    """The points of a start:end:count grid (--grid, --theta-grid); an infinite
+    endpoint, or an end - start that overflows, is a domain error."""
     try:
         start, end, count = spec.split(":")
         start, end, count = float(start), float(end), int(count)
@@ -100,13 +102,7 @@ def _theta_grid(spec: str):
         raise DomainError("grid needs at least one point")
     if count > MAX_GRID_POINTS:
         raise DomainError(f"grid spec {spec!r} needs a count <= {MAX_GRID_POINTS}")
-    return _linspace(start, end, count)
-
-
-def _finite_grid(spec: str):
-    """The points of _theta_grid(spec); an infinite endpoint, or an end - start
-    that overflows, is a domain error."""
-    points = _theta_grid(spec)
+    points = _linspace(start, end, count)
     if not all(map(math.isfinite, points)):
         raise DomainError(f"grid spec {spec!r} has points that are not finite numbers")
     return points

@@ -52,10 +52,6 @@ class Constants:
     mc2_hz: float
 
     @property
-    def ry_over_mc2(self) -> float:
-        return self.rydberg_hz / self.mc2_hz
-
-    @property
     def mc2_over_ry(self) -> float:
         return self.mc2_hz / self.rydberg_hz
 
@@ -99,8 +95,14 @@ def get_profile(name: str) -> Constants:
 
 
 def default_profile() -> Constants:
-    """Profile selection honoring the QED51_CONSTANTS environment variable."""
+    """The CLI's profile, named by QED51_CONSTANTS ("modern" if unset)."""
     return get_profile(os.environ.get("QED51_CONSTANTS", "modern"))
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject alpha outside (0, 0.1), NaN included: larger values are Z alpha."""
+    if not 0.0 < alpha < 0.1:
+        raise DomainError(f"alpha = {alpha} outside (0, 0.1)")
 
 
 @dataclass
@@ -114,8 +116,7 @@ class RunConfig:
 
     def __post_init__(self):
         alpha = self.alpha
-        if not 0.0 < alpha < 0.1:
-            raise DomainError(f"alpha = {alpha} outside (0, 0.1)")
+        check_alpha(alpha)
         if alpha * alpha < sys.float_info.min:
             # r0^2 = alpha^2 is the unit of every cross section
             raise DomainError(f"alpha = {alpha} is so small that alpha^2 is not a normal float")

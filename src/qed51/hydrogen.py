@@ -4,8 +4,9 @@ and the uniform-magnetic-field (Landau) spectrum.
 
 Quantum numbers: n >= 0 radial, k nonzero integer (the angular operator
 eigenvalue), j = |k| - 1/2, N = n + |k|.  n = 0 exists only for k > 0.
-Energies are returned in units of mc^2.  Z is fixed to 1 (hydrogen); a Zalpha generalization is available behind an explicit flag but
-excluded from acceptance.
+Energies are returned in units of mc^2.  Z is fixed to 1 (hydrogen), so
+alpha is the coupling itself and must lie in (0, 0.1): Z alpha values are
+rejected.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import numerics
+from .constants import check_alpha
 from .errors import DomainError, NumericError
 
 # Spectroscopic letter of each orbital angular momentum ell = 0, 1, 2, ...
@@ -48,19 +50,9 @@ class EnergyLevel:
     qn: DiracQuantumNumbers
 
 
-def _check_alpha(qn: DiracQuantumNumbers, alpha: float, allow_z: bool) -> None:
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if not allow_z and alpha >= 0.1:
-        raise DomainError("alpha >= 0.1 needs extension=True (Z*alpha mode)")
-    if qn.k**2 <= alpha**2:
-        raise DomainError("sqrt(k^2 - alpha^2) not real for these inputs")
-
-
-def dirac_energy(qn: DiracQuantumNumbers, alpha: float,
-                 extension: bool = False) -> EnergyLevel:
+def dirac_energy(qn: DiracQuantumNumbers, alpha: float) -> EnergyLevel:
     """E = 1 / sqrt(1 + alpha^2 / (n + sqrt(k^2 - alpha^2))^2), units mc^2."""
-    _check_alpha(qn, alpha, extension)
+    check_alpha(alpha)
     eps = math.sqrt(qn.k**2 - alpha**2)
     e = 1.0 / math.sqrt(1.0 + (alpha / (qn.n + eps)) ** 2)
     return EnergyLevel(energy=e, qn=qn)

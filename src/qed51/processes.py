@@ -371,7 +371,8 @@ def coulomb_formfactor(q_mag: float, z_charge: float, alpha: float) -> float:
 
 def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
     """Mott cross section (E/2pi)^2 (1 - beta^2 sin^2(theta/2)) |V(q)|^2,
-    r0^2 per steradian."""
+    r0^2 per steradian.  alpha cancels against r0^2 = alpha^2: |V(q)|/alpha
+    = 4 pi Z/q^2 is formed directly, so the value does not depend on it."""
     if energy <= 1.0:
         raise DomainError("need E > m")
     if not 0.0 < theta <= math.pi:
@@ -381,23 +382,22 @@ def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> floa
     q = 2.0 * pmag * math.sin(theta / 2.0)
     if q == 0.0:
         raise NumericError(f"Mott cross section overflows: q rounds to 0 at theta = {theta!r}")
-    vq = coulomb_formfactor(q, z_charge, alpha)
+    vq = coulomb_formfactor(q, z_charge, 1.0)
     try:
         sigma = (energy / TWO_PI) ** 2 * (1.0 - beta2 * math.sin(theta / 2.0) ** 2) * vq**2
     except OverflowError:
         sigma = math.inf
-    sigma /= alpha**2
     if math.isinf(sigma):
         raise NumericError(f"Mott cross section overflows at theta = {theta!r}")
     return sigma
 
 
 def rutherford_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
-    """Spinless beta -> 0 shape, for limit checks (r0^2 per steradian)."""
+    """Spinless beta -> 0 shape, for limit checks (r0^2 per steradian; alpha
+    cancels as in mott_dcs)."""
     pmag = math.sqrt(energy**2 - 1.0)
     q = 2.0 * pmag * math.sin(theta / 2.0)
-    vq = coulomb_formfactor(q, z_charge, alpha)
-    return (energy / TWO_PI) ** 2 * vq**2 / alpha**2
+    return (energy / TWO_PI) ** 2 * coulomb_formfactor(q, z_charge, 1.0) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import numerics
-from .constants import Constants, default_profile
+from .constants import Constants
 from .errors import DomainError
 from .hydrogen import ORBITAL_LETTERS
 from .propagators import CutoffQuantity
@@ -87,7 +87,7 @@ def _in_phase_integral(q2: float) -> float:
     return 8.0 * (-5.0 / 18.0 + 2.0 / (3.0 * q2) + (1.0 - 2.0 / q2) * beta_l / 6.0)
 
 
-def vacuum_polarization(q2_over_mu2: float, alpha: float | None = None) -> VacPolResult:
+def vacuum_polarization(q2_over_mu2: float, alpha: float) -> VacPolResult:
     """Finite, observable part of the induced vacuum current for a Fourier
     component of momentum q; a function of q^2 only.
 
@@ -99,7 +99,6 @@ def vacuum_polarization(q2_over_mu2: float, alpha: float | None = None) -> VacPo
     here.  The out-of-phase coefficient is nonzero only once the pair
     threshold is open, q^2 < -4 mu^2.
     """
-    alpha = default_profile().alpha if alpha is None else alpha
     in_phase = alpha / (4.0 * math.pi) * _in_phase_integral(q2_over_mu2)
     threshold_open = q2_over_mu2 < -4.0
     out_phase = 0.0
@@ -109,13 +108,12 @@ def vacuum_polarization(q2_over_mu2: float, alpha: float | None = None) -> VacPo
                         threshold_open=threshold_open)
 
 
-def vacuum_polarization_quadrature(q2_over_mu2: float, alpha: float | None = None) -> float:
+def vacuum_polarization_quadrature(q2_over_mu2: float, alpha: float) -> float:
     """Oracle for the in-phase coefficient of vacuum_polarization: the same
     (alpha/4 pi) int_0^1 z dz/sqrt(1-z) log|1 + z q^2/4 mu^2| by adaptive
     QUADPACK quadrature, with the endpoint removed by z = 1 - t^2 and the
     logarithm's zero-argument point skipped.  Loads scipy; the closed form
     never calls it."""
-    alpha = default_profile().alpha if alpha is None else alpha
     q2 = q2_over_mu2
 
     def log_term(z):
@@ -128,9 +126,8 @@ def vacuum_polarization_quadrature(q2_over_mu2: float, alpha: float | None = Non
     return alpha / (4.0 * math.pi) * integral
 
 
-def vacuum_polarization_small_q(q2_over_mu2: float, alpha: float | None = None) -> float:
+def vacuum_polarization_small_q(q2_over_mu2: float, alpha: float) -> float:
     """Leading slowly-varying-field form alpha q^2 / (15 pi mu^2)."""
-    alpha = default_profile().alpha if alpha is None else alpha
     return alpha * q2_over_mu2 / (15.0 * math.pi)
 
 
@@ -144,8 +141,8 @@ def maxwell_source_amplitude(e_vec, q_vec):
                                 (e_vec.x3, q_vec.x3), (e_vec.x0, q_vec.x0)))
 
 
-def pair_creation_probability(e2_pol: float, q2: float, q0_sign: int = +1,
-                              alpha: float | None = None) -> float:
+def pair_creation_probability(e2_pol: float, q2: float, q0_sign: int,
+                              alpha: float) -> float:
     """Probability per unit volume and time that a weak periodic potential
     of polarization-squared e2_pol (spacelike, > 0) and momentum q creates a
     real pair: w = -(alpha e^2 q^2 / 8) int_{-4/q^2}^1 z dz/sqrt(1-z).
@@ -153,7 +150,6 @@ def pair_creation_probability(e2_pol: float, q2: float, q0_sign: int = +1,
     Zero unless q^2 < -4 mu^2 (in mass units).  Nonnegative for physical
     (spacelike) polarizations: the potentials never extract vacuum energy.
     """
-    alpha = default_profile().alpha if alpha is None else alpha
     if q0_sign not in (+1, -1):
         raise DomainError("q0_sign must be +1 or -1")
     if q2 >= -4.0:
@@ -162,10 +158,9 @@ def pair_creation_probability(e2_pol: float, q2: float, q0_sign: int = +1,
 
 
 def pair_creation_probability_power_route(e2_pol: float, q2: float, q0: float,
-                                          alpha: float | None = None) -> float:
+                                          alpha: float) -> float:
     """Independent route: time-average the energy fed to the vacuum by the
     out-of-phase current over one oscillation, then divide by q0 per pair."""
-    alpha = default_profile().alpha if alpha is None else alpha
     if q2 >= -4.0:
         return 0.0
     b_coeff = 0.25 * alpha * q2 * absorptive_weight(-4.0 / q2)
@@ -190,11 +185,10 @@ def _parse_state_label(state: str):
     return n, ell
 
 
-def uehling_shift(state: str, constants: Constants | None = None) -> float:
+def uehling_shift(state: str, constants: Constants) -> float:
     """Vacuum-polarization level shift in megacycles: -(1/5) of the
     logarithm-free radiative shift, i.e. -(4 alpha^5 / 15 pi n^3) mc^2 for
     s states and 0 for all others (only s states touch the contact term)."""
-    constants = constants or default_profile()
     n, ell = _parse_state_label(state)
     if ell != 0:
         return 0.0
@@ -237,16 +231,20 @@ def delta_m(mass: float, alpha: float, cutoff_label: str = "k_max") -> CutoffQua
 # ---------------------------------------------------------------------------
 # The nonrelativistic vertex chain: the K integral and its closed form.
 
+def _dot3(p_vec, pp_vec) -> float:
+    """p.p' of two 3-vectors (sequences or numpy arrays) in float arithmetic."""
+    (px, py, pz), (qx, qy, qz) = p_vec, pp_vec
+    return float(px * qx + py * qy + pz * qz)
+
+
 def k_integral_closed(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
     """Closed form of the infrared-regulated Feynman-parameter integral
     K(p, p'; r): (3 i pi^2 / 2) { (1/3)(L+1) - (p.p' + q^2/2)(L/3 + 1/6)
     + (p.p' + q^2/3)(L/3 + 5/18) } with L = log(1/2r), momenta in mass
     units (p_vec, pp_vec are 3-vectors)."""
-    import numpy as np
-
     if r_ir <= 0:
         raise DomainError("infrared cutoff must be positive")
-    ppp = float(np.dot(p_vec, pp_vec))
+    ppp = _dot3(p_vec, pp_vec)
     L = math.log(1.0 / (2.0 * r_ir))
     val = (1.0 / 3.0 * (L + 1.0)
            - (ppp + 0.5 * q2) * (L / 3.0 + 1.0 / 6.0)
@@ -257,11 +255,9 @@ def k_integral_closed(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
 def k_integral_radial(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
     """The same integral by direct 1-D radial quadrature of the x,y-reduced
     integrand (the parameter integrals done analytically)."""
-    import numpy as np
-
     if r_ir <= 0:
         raise DomainError("infrared cutoff must be positive")
-    ppp = float(np.dot(p_vec, pp_vec))
+    ppp = _dot3(p_vec, pp_vec)
     c_half = ppp + 0.5 * q2
     c_third = ppp + q2 / 3.0
 
@@ -279,12 +275,10 @@ def k_integral_radial(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
     return 1.5j * math.pi**2 * val
 
 
-def scattering_correction(q2_over_mu2: float, detector_de_over_mc2: float,
-                          alpha: float | None = None):
+def scattering_correction(q2_over_mu2: float, detector_de_over_mc2: float, alpha: float):
     """Second-order corrections to the Born element in the nonrelativistic
     window: returns (coefficient multiplying M0, magnetic-moment coefficient
     multiplying i e u'bar eslash qslash u)."""
-    alpha = default_profile().alpha if alpha is None else alpha
     if detector_de_over_mc2 <= 0:
         raise DomainError("detector threshold must be positive")
     if abs(q2_over_mu2) > 1.0:
@@ -294,21 +288,19 @@ def scattering_correction(q2_over_mu2: float, detector_de_over_mc2: float,
 
 
 def nonradiative_cross_section_factor(q2_over_mu2: float, detector_de_over_mc2: float,
-                                      alpha: float | None = None) -> float:
+                                      alpha: float) -> float:
     """sigma_N / sigma0 = 1 - (2 alpha/3 pi)(log(mc^2/2 dE) + 5/6 - 1/5) q^2/mu^2
     (the moment term folded in)."""
-    alpha = default_profile().alpha if alpha is None else alpha
     if detector_de_over_mc2 <= 0:
         raise DomainError("detector threshold must be positive")
     bracket = math.log(1.0 / (2.0 * detector_de_over_mc2)) + 5.0 / 6.0 - 1.0 / 5.0
-    return 1.0 - 2.0 * alpha / (3.0 * math.pi) * bracket * q2_over_mu2
+    return 1.0 - 2.0 * alpha / (3.0 * math.pi) * q2_over_mu2 * bracket
 
 
 def soft_bremsstrahlung_probability(r1: float, r2: float, q2_over_mu2: float,
-                                    alpha: float | None = None) -> float:
+                                    alpha: float) -> float:
     """W_R(r1, r2)/|M0|^2 = (2 alpha / 3 pi) log(r2/r1) q^2/mu^2: total
     emission probability into photon frequencies r1 < k < r2 << |q|."""
-    alpha = default_profile().alpha if alpha is None else alpha
     if not 0.0 < r1 <= r2:
         raise DomainError("need 0 < r1 <= r2")
     return 2.0 * alpha / (3.0 * math.pi) * math.log(r2 / r1) * q2_over_mu2
@@ -316,15 +308,13 @@ def soft_bremsstrahlung_probability(r1: float, r2: float, q2_over_mu2: float,
 
 def observable_scattering_probability(split_r: float, detector_de: float,
                                       q2_over_mu2: float,
-                                      alpha: float | None = None) -> float:
+                                      alpha: float) -> float:
     """W_N(virtual photons down to split_r) + W_R(split_r .. detector_de),
     per |M0|^2.  Independent of the internal split point: that is the
     infrared cancellation."""
-    alpha = default_profile().alpha if alpha is None else alpha
     if not 0.0 < split_r <= detector_de:
         raise DomainError("need 0 < split_r <= detector threshold")
-    w_n = 1.0 - 2.0 * alpha / (3.0 * math.pi) * q2_over_mu2 * (
-        math.log(1.0 / (2.0 * split_r)) + 5.0 / 6.0 - 1.0 / 5.0)
+    w_n = nonradiative_cross_section_factor(q2_over_mu2, split_r, alpha)
     return w_n + soft_bremsstrahlung_probability(split_r, detector_de,
                                                  q2_over_mu2, alpha)
 
@@ -394,8 +384,8 @@ def _subtracted_lambda_integral(theta: float, scheme: str = "closed") -> float:
 
 
 def total_scattering_correction(kinetic_t_over_mc2: float, theta: float,
-                                detector_de_over_mc2: float | None = None,
-                                alpha: float | None = None,
+                                detector_de_over_mc2: float | None,
+                                alpha: float,
                                 scheme: str = "closed") -> float:
     """sigma_T / sigma0 for a Coulomb potential in the nonrelativistic
     window: 1 - (8 alpha / 3 pi) beta^2 sin^2(theta/2) [log(mc^2/2T) +
@@ -406,7 +396,6 @@ def total_scattering_correction(kinetic_t_over_mc2: float, theta: float,
     its closed form (half-angle branch near theta = pi), or one of its
     oracle routes, scheme="adaptive" (QUADPACK) or scheme="gauss"
     (numerics.gauss, theta >= 0.1)."""
-    alpha = default_profile().alpha if alpha is None else alpha
     t = kinetic_t_over_mc2
     if t <= 0 or t > 0.2:
         raise DomainError("kinetic energy outside the nonrelativistic window")
@@ -419,7 +408,7 @@ def total_scattering_correction(kinetic_t_over_mc2: float, theta: float,
     if not 0.0 < de <= t:
         raise DomainError("detector threshold must lie in (0, T]")
     # nonradiative piece with explicit detector threshold ...
-    ratio_n = 1.0 - coef * (math.log(1.0 / (2.0 * de)) + 5.0 / 6.0 - 1.0 / 5.0)
+    ratio_n = nonradiative_cross_section_factor(q2, de, alpha)
     # ... plus the radiative piece: subtracted integral + its analytic log,
     # log(T/dE) exactly cancelling the threshold above.
     ratio_r = coef * (_subtracted_lambda_integral(theta, scheme) + math.log(t / de))
@@ -443,10 +432,9 @@ def total_correction_f_theta(theta: float, scheme: str = "closed") -> float:
 KARPLUS_KROLL_COEFF = 2.973
 
 
-def anomalous_moment(order: int = 1, alpha: float | None = None) -> float:
+def anomalous_moment(order: int, alpha: float) -> float:
     """dM/M: alpha/2pi at first order; the quoted fourth-order value
     subtracts 2.973 (alpha/pi)^2."""
-    alpha = default_profile().alpha if alpha is None else alpha
     if order == 1:
         return alpha / (2.0 * math.pi)
     if order == 2:
@@ -457,18 +445,15 @@ def anomalous_moment(order: int = 1, alpha: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Level shifts: fluctuation estimate, nonrelativistic log, full assembly.
 
-def alpha3_ry_mc(constants: Constants | None = None) -> float:
+def alpha3_ry_mc(constants: Constants) -> float:
     """(alpha^3 / 3 pi) Ry in megacycles: the Lamb-shift frequency unit."""
-    constants = constants or default_profile()
     return constants.alpha**3 / (3.0 * math.pi) * constants.rydberg_hz / 1e6
 
 
-def welton_shift(r_cut: float | None = None, k_h: float | None = None,
-                 constants: Constants | None = None) -> float:
+def welton_shift(r_cut: float | None, k_h: float | None, constants: Constants) -> float:
     """Fluctuation estimate of the 2s-2p shift in megacycles:
-    (alpha^3/3pi) Ry log(1/(R K_H)), default R = hbar/mc and K_H = Ry/4 hbar c
-    so that R K_H = alpha^2/8."""
-    constants = constants or default_profile()
+    (alpha^3/3pi) Ry log(1/(R K_H)); None takes R = hbar/mc and
+    K_H = Ry/4 hbar c, so that R K_H = alpha^2/8."""
     alpha = constants.alpha
     r_cut = 1.0 if r_cut is None else r_cut
     k_h = alpha**2 / 8.0 if k_h is None else k_h
@@ -480,11 +465,9 @@ def welton_shift(r_cut: float | None = None, k_h: float | None = None,
     return alpha3_ry_mc(constants) * math.log(1.0 / rk)
 
 
-def bethe_log_shift(e_av_over_ry: float = 16.6, k_over_mc2: float = 1.0,
-                    constants: Constants | None = None) -> float:
+def bethe_log_shift(e_av_over_ry: float, k_over_mc2: float, constants: Constants) -> float:
     """Nonrelativistic 2s shift in megacycles: (alpha^3/3pi) Ry log(K/(E-E0)_av),
-    with the cutoff K in units of mc^2 (default K = mc^2)."""
-    constants = constants or default_profile()
+    with the cutoff K in units of mc^2 (K = 1 is the paper's K = mc^2)."""
     if e_av_over_ry <= 0 or k_over_mc2 <= 0:
         raise DomainError("average excitation and cutoff must be positive")
     log_arg = k_over_mc2 * constants.mc2_over_ry / e_av_over_ry
@@ -503,15 +486,14 @@ def sigma_dot_l_eigenvalue(ell: int, j: float) -> int:
     raise DomainError(f"j = {j} incompatible with ell = {ell}")
 
 
-def level_shift(n: int, ell: int, j: float, e_av_over_ry: float = 16.6,
-                constants: Constants | None = None) -> float:
+def level_shift(n: int, ell: int, j: float, e_av_over_ry: float,
+                constants: Constants) -> float:
     """Radiative level shift in megacycles.
 
     s states: (8 alpha^3/3 pi n^3) Ry [log(mc^2/2(E-E0)av) + 5/6 - 1/5];
     ell != 0: +- (alpha^3/2 pi n^3) Ry / ((ell+1/2)(ell+1)) or
     / (ell (ell+1/2)) for j = ell +- 1/2, from the 1/r^3 average.
     """
-    constants = constants or default_profile()
     if n < 1 or ell >= n:
         raise DomainError("need 0 <= ell < n")
     alpha = constants.alpha
@@ -541,12 +523,10 @@ class LambBudget:
         return self.bethe_term + self.moment_term + self.uehling_term
 
 
-def lamb_shift_full(e_av_over_ry: float = 16.6,
-                    constants: Constants | None = None) -> LambBudget:
+def lamb_shift_full(e_av_over_ry: float, constants: Constants) -> LambBudget:
     """Full 2s - 2p1/2 shift: (alpha^3/3pi) Ry [log(mc^2/2(E-E0)av) + 5/6
     - 1/5 + 1/8], budgeted as log + 5/6 (electric), +1/8 (moment), -1/5
     (vacuum polarization)."""
-    constants = constants or default_profile()
     if e_av_over_ry <= 0:
         raise DomainError("average excitation energy must be positive")
     unit = alpha3_ry_mc(constants)

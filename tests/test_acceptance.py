@@ -223,7 +223,7 @@ def test_criterion_10_anomalous_moment():
 
 def test_criterion_11_lamb_budget_1951():
     unit = rad.alpha3_ry_mc(ERA_1951)
-    welton = rad.welton_shift(constants=ERA_1951)
+    welton = rad.welton_shift(None, None, ERA_1951)
     bethe = rad.bethe_log_shift(16.6, 1.0, ERA_1951)
     total = rad.lamb_shift_full(16.6, ERA_1951).total
     ok = (abs(unit - 136.0) <= 1.36

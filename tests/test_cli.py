@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qed51 import cli, radiative, wick
+from qed51.errors import DomainError
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1]
                      / "docs" / "output-schema.json").read_text())
@@ -139,10 +140,16 @@ def test_csv_numeric_cells_are_plain_floats(argv):
 @example(-1e308, 1e308, 1)
 @example(-1e308, 1e308, 9)
 def test_theta_grid_is_numpy_linspace_bit_for_bit(start, end, count):
-    # vacpol --grid and every xsec --theta-grid go through _theta_grid
-    grid = cli._theta_grid(f"{start}:{end}:{count}")
+    # vacpol --grid and every xsec --theta-grid go through _finite_grid,
+    # which rejects a grid with a point numpy makes infinite or nan
+    spec = f"{start}:{end}:{count}"
     with np.errstate(all="ignore"):
         expected = np.linspace(start, end, count)
+    if not np.isfinite(expected).all():
+        with pytest.raises(DomainError):
+            cli._finite_grid(spec)
+        return
+    grid = cli._finite_grid(spec)
     assert all(type(x) is float for x in grid)
     assert struct.pack(f"<{count}d", *grid) == expected.tobytes()
 
@@ -165,7 +172,7 @@ def test_grid_size_limit_exits_two_before_building(argv, monkeypatch, capsys):
 
 def test_grid_size_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(cli, "_linspace", lambda start, end, count: [count])
-    assert cli._theta_grid(f"0:1:{cli.MAX_GRID_POINTS}") == [cli.MAX_GRID_POINTS]
+    assert cli._finite_grid(f"0:1:{cli.MAX_GRID_POINTS}") == [cli.MAX_GRID_POINTS]
 
 
 def test_usage_error_exits_one(capsys):
@@ -305,9 +312,13 @@ def test_global_flags_work_in_both_positions():
 
 
 @pytest.mark.parametrize("argv", [["lamb", "--budget"], ["uehling"],
-                                  ["annihilate", "positronium"]], ids=" ".join)
+                                  ["annihilate", "positronium"],
+                                  ["xsec", "mott", "--energy", "1.7", "--Z", "79",
+                                   "--theta-grid", "1:179:30", "--format", "csv"]],
+                         ids=" ".join)
 def test_alpha_leaves_the_profile_commands_unchanged(argv):
-    # these take alpha from the --constants profile, as the README says
+    # these take alpha from the --constants profile, or (xsec, in r0^2 units)
+    # do not depend on it, as the README says
     assert run(argv + ["--alpha", "0.05"]) == run(argv)
 
 

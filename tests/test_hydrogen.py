@@ -230,8 +230,10 @@ def test_level_table_stops_at_last_spectroscopic_letter():
 
 
 def test_zalpha_extension_flagged():
+    # alpha is checked against (0, 0.1): a Z alpha-sized value and NaN fail
     qn = hyd.DiracQuantumNumbers(0, 1)
-    with pytest.raises(DomainError):
-        hyd.dirac_energy(qn, 0.5)
-    level = hyd.dirac_energy(qn, 0.5, extension=True)
-    assert abs(level.energy - math.sqrt(1.0 - 0.25)) < 1e-15
+    for alpha in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            hyd.dirac_energy(qn, alpha)
+        with pytest.raises(DomainError):
+            hyd.level_table(2, alpha)

@@ -39,7 +39,7 @@ for argv in json.loads(sys.argv[1]):
     assert code == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 from qed51 import radiative
-radiative.vacuum_polarization_quadrature(-10.0)
+radiative.vacuum_polarization_quadrature(-10.0, 1 / 137.036)
 print("scipy.integrate" in sys.modules)
 """
     res = subprocess.run([sys.executable, "-c", script, json.dumps(examples)],
@@ -95,7 +95,7 @@ class BlockScipy:
             raise ImportError("blocked " + name)
 sys.meta_path.insert(0, BlockScipy())
 from qed51 import radiative
-print(radiative.total_scattering_correction(0.02, 1.2, 1e-4) < 1.0,
+print(radiative.total_scattering_correction(0.02, 1.2, 1e-4, 1 / 137.036) < 1.0,
       radiative.total_correction_f_theta(1.2) > 0.0,
       radiative.total_correction_f_theta(1.2, "gauss") > 0.0)
 try:

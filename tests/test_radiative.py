@@ -193,7 +193,7 @@ def test_uehling_ratio_to_bethe_log():
 
 def test_uehling_unknown_state():
     with pytest.raises(DomainError):
-        rad.uehling_shift("5x")
+        rad.uehling_shift("5x", ERA_1951)
     assert rad.uehling_shift("5g", ERA_1951) == 0.0  # ell = 4 state, no contact term
 
 
@@ -421,7 +421,7 @@ def test_anomalous_moment_fourth_order():
 
 def test_anomalous_moment_order_validation():
     with pytest.raises(DomainError):
-        rad.anomalous_moment(3)
+        rad.anomalous_moment(3, ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +433,14 @@ def test_alpha3_ry_unit_1951():
 
 
 def test_welton_estimate():
-    val = rad.welton_shift(constants=ERA_1951)
+    val = rad.welton_shift(None, None, ERA_1951)
     assert abs(val - 1600.0) < 80.0
 
 
 def test_welton_default_cutoff_product():
     a = ERA_1951.alpha
     explicit = rad.welton_shift(1.0, a**2 / 8.0, ERA_1951)
-    assert abs(explicit - rad.welton_shift(constants=ERA_1951)) < 1e-12
+    assert abs(explicit - rad.welton_shift(None, None, ERA_1951)) < 1e-12
 
 
 def test_bethe_log_value():
@@ -457,8 +457,8 @@ def test_lamb_budget_totals():
 
 
 def test_level_shift_signs():
-    assert rad.level_shift(2, 1, 0.5, constants=ERA_1951) < 0.0  # 2p1/2 down
-    assert rad.level_shift(2, 1, 1.5, constants=ERA_1951) > 0.0  # 2p3/2 up
+    assert rad.level_shift(2, 1, 0.5, 16.6, ERA_1951) < 0.0  # 2p1/2 down
+    assert rad.level_shift(2, 1, 1.5, 16.6, ERA_1951) > 0.0  # 2p3/2 up
 
 
 def test_level_shift_consistency_with_budget():
@@ -478,7 +478,7 @@ def test_sigma_dot_l_bookkeeping():
 
 def test_level_shift_validation():
     with pytest.raises(DomainError):
-        rad.level_shift(1, 1, 1.5)
+        rad.level_shift(1, 1, 1.5, 16.6, ERA_1951)
 
 
 def test_modern_profile_close_to_era():
@@ -495,6 +495,6 @@ def test_uehling_label_parsing():
     assert abs(rad.uehling_shift("2s", ERA_1951)
                - 8.0 * rad.uehling_shift("4s", ERA_1951)) < 1e-9
     with pytest.raises(DomainError):
-        rad.uehling_shift("2q")
+        rad.uehling_shift("2q", ERA_1951)
     with pytest.raises(DomainError):
-        rad.uehling_shift("1p")
+        rad.uehling_shift("1p", ERA_1951)
