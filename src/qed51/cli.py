@@ -19,7 +19,8 @@ import json
 import math
 import sys
 
-from .constants import DYSON, FEYNMAN, O16_MC2_MEV, RunConfig, get_profile
+from .constants import (DYSON, FEYNMAN, FORMATS, O16_MC2_MEV, PROFILES, UNITS, RunConfig,
+                        get_profile)
 from .errors import DomainError, NumericError, QedError
 
 
@@ -405,16 +406,16 @@ def _common_options() -> argparse.ArgumentParser:
     # subparser, and a subparser must not overwrite a value already parsed
     # at the top level.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json", "text"),
+    common.add_argument("--format", choices=FORMATS,
                         default=argparse.SUPPRESS)
-    common.add_argument("--constants", choices=("1951", "modern"),
+    common.add_argument("--constants", choices=sorted(PROFILES),
                         default=argparse.SUPPRESS)
     common.add_argument("--alpha", type=finite_float, default=argparse.SUPPRESS,
                         help="fine-structure constant for annihilate rate, hydrogen "
                              "levels, vacpol, moment and verify all (default: the "
                              "profile's); xsec values in r0^2 units do not depend on it, "
                              "and every other value and unit conversion uses the profile")
-    common.add_argument("--units", choices=("natural", "SI", "MeV", "megacycles"),
+    common.add_argument("--units", choices=UNITS,
                         default=argparse.SUPPRESS)
     return common
 

@@ -85,6 +85,10 @@ ERA_1951 = Constants(name="1951", alpha=1.0 / 137.0,
 
 PROFILES = {"modern": MODERN, "1951": ERA_1951}
 
+# The CLI's --format and --units choices, in --help order.
+FORMATS = ("csv", "json", "text")
+UNITS = ("natural", "SI", "MeV", "megacycles")
+
 
 def get_profile(name: str) -> Constants:
     try:
@@ -120,9 +124,9 @@ class RunConfig:
         if alpha * alpha < sys.float_info.min:
             # r0^2 = alpha^2 is the unit of every cross section
             raise DomainError(f"alpha = {alpha} is so small that alpha^2 is not a normal float")
-        if self.output_format not in ("csv", "json", "text"):
+        if self.output_format not in FORMATS:
             raise DomainError(f"unknown output format {self.output_format!r}")
-        if self.units not in ("natural", "SI", "MeV", "megacycles"):
+        if self.units not in UNITS:
             raise DomainError(f"unknown unit system {self.units!r}")
 
     @property

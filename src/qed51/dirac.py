@@ -14,6 +14,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,48 +76,52 @@ def build_matrices(conv: str = DYSON) -> dict:
     return m
 
 
+@functools.cache
+def _table(conv: str) -> dict:
+    """The matrices of a normalized convention, built once and shared read-only."""
+    m = build_matrices(conv)
+    for mat in m.values():
+        mat.flags.writeable = False
+    return m
+
+
 def gamma_matrix(conv: str, index: int) -> np.ndarray:
-    """The explicit gamma matrix of the selected table.
+    """The explicit gamma matrix of the selected table (shared, read-only).
 
     Dyson indices: 1..5.  Feynman indices: 0..3 and 5.
     """
     conv = _normalize(conv)
-    m = build_matrices(conv)
     valid = (1, 2, 3, 4, 5) if conv == DYSON else (0, 1, 2, 3, 5)
     if index not in valid:
         raise DomainError(f"gamma index {index} invalid for {conv} convention")
-    return m[f"gamma{index}"]
+    return _table(conv)[f"gamma{index}"]
 
 
 def gammas(conv: str = DYSON):
-    """The four vector gamma matrices in component order (1,2,3, time)."""
+    """The four vector gamma matrices in component order (1,2,3, time); shared, read-only."""
     conv = _normalize(conv)
-    m = build_matrices(conv)
+    m = _table(conv)
     time = "gamma4" if conv == DYSON else "gamma0"
     return (m["gamma1"], m["gamma2"], m["gamma3"], m[time])
 
 
 # Module-level Dyson set: used by every amplitude routine.
-_DYSON = build_matrices(DYSON)
+_DYSON = _table(DYSON)
 GAMMA = gammas(DYSON)
 BETA = _DYSON["beta"]
 ALPHA = (_DYSON["alpha1"], _DYSON["alpha2"], _DYSON["alpha3"])
 SIGMA4 = (_DYSON["sigma1"], _DYSON["sigma2"], _DYSON["sigma3"])
 
 
-def slash(v, conv: str = DYSON) -> np.ndarray:
-    """Contraction of a 4-vector with the gamma matrices.
-
-    Dyson: v1 g1 + v2 g2 + v3 g3 + i v0 g4 (the x4 = i*x0 convention lives
-    here and nowhere else), so slash(v) @ slash(v) = dot(v, v) * I with the
-    (+,+,+,-) dot product.  Feynman: v0 g0 - v.gamma, so the square is
-    -dot(v, v) * I.
+def slash(v) -> np.ndarray:
+    """Contraction of a 4-vector with the Dyson gamma matrices:
+    v1 g1 + v2 g2 + v3 g3 + i v0 g4 (the x4 = i*x0 convention lives here and
+    nowhere else), so slash(v) @ slash(v) = dot(v, v) * I with the (+,+,+,-)
+    dot product.  Dyson only: the Feynman table, gammas("feynman"), serves
+    the identity checks.
     """
-    conv = _normalize(conv)
-    g1, g2, g3, gt = GAMMA if conv == DYSON else gammas(FEYNMAN)
-    if conv == DYSON:
-        return v.x1 * g1 + v.x2 * g2 + v.x3 * g3 + 1j * v.x0 * gt
-    return v.x0 * gt - v.x1 * g1 - v.x2 * g2 - v.x3 * g3
+    g1, g2, g3, g4 = GAMMA
+    return v.x1 * g1 + v.x2 * g2 + v.x3 * g3 + 1j * v.x0 * g4
 
 
 def spur(mat: np.ndarray) -> complex:
@@ -203,7 +208,6 @@ class CheckReport:
     """Outcome of replaying a summary table with explicit matrices."""
 
     convention: str
-    tolerance: float = TOL_TABLE
     entries: list = field(default_factory=list)  # (label, deviation)
 
     def add(self, label: str, lhs: np.ndarray, rhs) -> None:
@@ -212,15 +216,12 @@ class CheckReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(dev for _, dev in self.entries)
-
-    @property
-    def failures(self) -> list:
-        return [(lbl, dev) for lbl, dev in self.entries if dev >= self.tolerance]
+        """The largest deviation; nan if any deviation is nan."""
+        return float(np.max([dev for _, dev in self.entries]))
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return all(dev < TOL_TABLE for _, dev in self.entries)
 
 
 def _check_common(rep: CheckReport, m: dict) -> None:
@@ -401,7 +402,7 @@ def verify_identity_tables(conv: str = DYSON, matrices: dict | None = None) -> C
     easy; by default the table's own matrices are used.
     """
     conv = _normalize(conv)
-    m = matrices if matrices is not None else build_matrices(conv)
+    m = matrices if matrices is not None else _table(conv)
     rep = CheckReport(convention=conv)
     _check_common(rep, m)
     if conv == DYSON:

@@ -60,6 +60,7 @@ def dirac_energy(qn: DiracQuantumNumbers, alpha: float) -> EnergyLevel:
 
 def fine_structure_expansion(big_n: int, k: int, alpha: float) -> float:
     """E = 1 - alpha^2/2N^2 + (alpha^4/N^3)(3/8N - 1/2|k|), units mc^2."""
+    check_alpha(alpha)
     if big_n < 1:
         raise DomainError("principal quantum number N must be >= 1")
     if k == 0 or abs(k) > big_n:
@@ -85,6 +86,7 @@ def series_coefficients(qn: DiracQuantumNumbers, alpha: float, energy: float,
     printed two-term recursions.  Valid for any 0 < E < 1."""
     import numpy as np
 
+    check_alpha(alpha)
     a1, a2, a = _rate_constants(energy)
     k = qn.k
     eps = math.sqrt(k**2 - alpha**2)
@@ -209,6 +211,7 @@ def radial_shoot(qn: DiracQuantumNumbers, alpha: float, energy_guess: float) -> 
     solves and about 2,300-5,300 right-hand-side evaluations.  Independent
     oracle for the closed-form spectrum; seed it with the nonrelativistic
     estimate."""
+    check_alpha(alpha)
     if not 0.0 < energy_guess < 1.0:
         raise DomainError("energy guess must be inside the bound-state window")
     solved: dict[float, float] = {}
@@ -258,7 +261,7 @@ def level_table(max_n: int, alpha: float):
     rows = []
     for big_n in range(1, max_n + 1):
         for k in range(-big_n, big_n + 1):
-            if k == 0 or abs(k) > big_n:
+            if k == 0:
                 continue
             n = big_n - abs(k)
             if n == 0 and k < 0:

@@ -133,6 +133,12 @@ def moller_cm_angle(gamma: float, theta_lab: float) -> float:
     return (2.0 - (gamma + 3.0) * s2) / (2.0 + (gamma - 1.0) * s2)
 
 
+def check_conservation(total: FourVector) -> None:
+    """Raise DomainError unless total = incoming - outgoing is 0 to 1e-9."""
+    if max(abs(total.x1), abs(total.x2), abs(total.x3), abs(total.x0)) > 1e-9:
+        raise DomainError("momenta do not satisfy conservation")
+
+
 def _flux_factor(a: FourVector, b: FourVector) -> float:
     return abs(b.x0 * a.x3 - a.x0 * b.x3)
 
@@ -147,9 +153,7 @@ def two_body_cross_section(K: complex, p1: FourVector, p2: FourVector,
     the |E2 p13 - E1 p23| flux factor for both vertex pairs and the (m c^2)^4
     state-normalization factor.  Invariant under boosts along axis 3.
     """
-    total = p1 + p2 - p1p - p2p
-    if max(abs(total.x1), abs(total.x2), abs(total.x3), abs(total.x0)) > 1e-9:
-        raise DomainError("momenta do not satisfy conservation")
+    check_conservation(p1 + p2 - p1p - p2p)
     if max(abs(p1.x1), abs(p1.x2), abs(p2.x1), abs(p2.x2)) > 1e-12:
         raise DomainError("p1, p2 must be collinear along axis 3")
     flux_in = _flux_factor(p1, p2)

@@ -18,7 +18,7 @@ from . import numerics
 from .constants import (C_CM_S, O16_ALPHA, O16_HBAR_C_MEV_CM, O16_HBAR_MEV_S,
                         O16_MC2_MEV)
 from .errors import DomainError, NumericError
-from .kinematics import (ElectronState, FourVector, compton_shift,
+from .kinematics import (ElectronState, FourVector, check_conservation, compton_shift,
                          electron_at_rest, moller_cm_angle, moller_cm_momenta,
                          two_body_cross_section)
 from .propagators import IEpsilonPolicy, electron_propagator
@@ -35,7 +35,6 @@ _EXACT = IEpsilonPolicy.exact_limit()
 class DecayResult:
     rate: float        # natural units (1/mc^2 time) unless stated otherwise
     lifetime: float
-    notes: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,6 @@ def moller_dcs_brute(gamma: float, theta: float, alpha: float) -> float:
                     total += abs(k) ** 2
     k_eff = math.sqrt(total / 4.0)   # average initial spins, sum final
     sigma_density = two_body_cross_section(k_eff, p1, p2, p1p, p2p)
-    e_star = p1.x0
     p_star = p1.x3
     # d2p_perp = p*^2 |x| dOmega*; the |x| cancels against the outgoing flux
     # factor already inside sigma_density, leaving |K|^2 / (16 pi^2 E*^2).
@@ -130,9 +128,7 @@ def bhabha_amplitude(p_in: FourVector, u_in, q_in: FourVector, v_in,
     v_in, v_out (the sign = -1 pair at the physical momenta).  The exchange
     denominator becomes the virtual-annihilation channel (p_in + q_in)^2.
     """
-    total = (p_in + q_in) - (p_out + q_out)
-    if max(abs(total.x1), abs(total.x2), abs(total.x3), abs(total.x0)) > 1e-9:
-        raise DomainError("momenta do not satisfy conservation")
+    check_conservation((p_in + q_in) - (p_out + q_out))
     return moller_amplitude(p_in, u_in, -1.0 * q_out, v_out,
                             p_out, u_out, -1.0 * q_in, v_in, alpha)
 
@@ -334,8 +330,7 @@ def annihilation_rate(relative_density: float, alpha: float) -> DecayResult:
     if rate == 0.0:
         raise NumericError(f"annihilation rate underflows to 0 at relative density "
                            f"{relative_density!r}")
-    return DecayResult(rate=rate, lifetime=1.0 / rate,
-                       notes="singlet channel; triplet 2-photon decay forbidden")
+    return DecayResult(rate=rate, lifetime=1.0 / rate)
 
 
 def positronium_lifetime(constants) -> float:
@@ -369,14 +364,18 @@ def coulomb_formfactor(q_mag: float, z_charge: float, alpha: float) -> float:
     return 4.0 * math.pi * z_charge * alpha / q2
 
 
-def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
-    """Mott cross section (E/2pi)^2 (1 - beta^2 sin^2(theta/2)) |V(q)|^2,
-    r0^2 per steradian.  alpha cancels against r0^2 = alpha^2: |V(q)|/alpha
-    = 4 pi Z/q^2 is formed directly, so the value does not depend on it."""
+def _check_coulomb_domain(energy: float, theta: float) -> None:
     if energy <= 1.0:
         raise DomainError("need E > m")
     if not 0.0 < theta <= math.pi:
         raise DomainError("theta = 0 diverges (Coulomb forward singularity)")
+
+
+def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
+    """Mott cross section (E/2pi)^2 (1 - beta^2 sin^2(theta/2)) |V(q)|^2,
+    r0^2 per steradian.  alpha cancels against r0^2 = alpha^2: |V(q)|/alpha
+    = 4 pi Z/q^2 is formed directly, so the value does not depend on it."""
+    _check_coulomb_domain(energy, theta)
     pmag = math.sqrt(energy**2 - 1.0)
     beta2 = (pmag / energy) ** 2
     q = 2.0 * pmag * math.sin(theta / 2.0)
@@ -395,6 +394,7 @@ def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> floa
 def rutherford_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
     """Spinless beta -> 0 shape, for limit checks (r0^2 per steradian; alpha
     cancels as in mott_dcs)."""
+    _check_coulomb_domain(energy, theta)
     pmag = math.sqrt(energy**2 - 1.0)
     q = 2.0 * pmag * math.sin(theta / 2.0)
     return (energy / TWO_PI) ** 2 * coulomb_formfactor(q, z_charge, 1.0) ** 2

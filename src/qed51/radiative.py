@@ -141,8 +141,7 @@ def maxwell_source_amplitude(e_vec, q_vec):
                                 (e_vec.x3, q_vec.x3), (e_vec.x0, q_vec.x0)))
 
 
-def pair_creation_probability(e2_pol: float, q2: float, q0_sign: int,
-                              alpha: float) -> float:
+def pair_creation_probability(e2_pol: float, q2: float, alpha: float) -> float:
     """Probability per unit volume and time that a weak periodic potential
     of polarization-squared e2_pol (spacelike, > 0) and momentum q creates a
     real pair: w = -(alpha e^2 q^2 / 8) int_{-4/q^2}^1 z dz/sqrt(1-z).
@@ -150,8 +149,6 @@ def pair_creation_probability(e2_pol: float, q2: float, q0_sign: int,
     Zero unless q^2 < -4 mu^2 (in mass units).  Nonnegative for physical
     (spacelike) polarizations: the potentials never extract vacuum energy.
     """
-    if q0_sign not in (+1, -1):
-        raise DomainError("q0_sign must be +1 or -1")
     if q2 >= -4.0:
         return 0.0
     return -alpha * e2_pol * q2 / 8.0 * absorptive_weight(-4.0 / q2)
@@ -200,11 +197,11 @@ def uehling_shift(state: str, constants: Constants) -> float:
 # ---------------------------------------------------------------------------
 # Self-energy and mass renormalization.
 
-def self_energy_constant(cutoff_label: str = "k_max") -> CutoffQuantity:
+def self_energy_constant() -> CutoffQuantity:
     """Sigma(p) = -6 pi^2 mu R' = -pi^2 mu (6R + 5) as a cutoff quantity
     (units mu = 1): log coefficient -6 pi^2, finite part -5 pi^2."""
     return CutoffQuantity(finite=-5.0 * math.pi**2,
-                          log_coeff=-6.0 * math.pi**2, cutoff=cutoff_label)
+                          log_coeff=-6.0 * math.pi**2, cutoff="k_max")
 
 
 def self_energy_z_integral(r_value: float) -> float:
@@ -220,12 +217,11 @@ def self_energy_z_integral(r_value: float) -> float:
     return -4.0 * math.pi**2 * val
 
 
-def delta_m(mass: float, alpha: float, cutoff_label: str = "k_max") -> CutoffQuantity:
+def delta_m(mass: float, alpha: float) -> CutoffQuantity:
     """Electromagnetic self-mass dm = (3 alpha / 2 pi) R' m, kept symbolic:
     log coefficient (3 alpha/2 pi) m, finite part (3 alpha/2 pi)(5/6) m."""
     coeff = 3.0 * alpha / (2.0 * math.pi) * mass
-    return CutoffQuantity(finite=coeff * 5.0 / 6.0, log_coeff=coeff,
-                          cutoff=cutoff_label)
+    return CutoffQuantity(finite=coeff * 5.0 / 6.0, log_coeff=coeff, cutoff="k_max")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ E -> -E branch so that (pslash + i m) v = 0 with the same on-shell p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dirac import ALPHA, BETA, GAMMA, I4, slash, spur
@@ -61,28 +59,20 @@ def charge_conjugate(u: np.ndarray) -> np.ndarray:
     return C_MATRIX @ u.conj()
 
 
-@dataclass
-class SpinProjector:
-    """Lambda_+- = (+-pslash + i m) / (2 i m); Lambda_+ - Lambda_- = I."""
-
-    matrix: np.ndarray
-    sign: int
-
-
-def projector(state: ElectronState, sign: int) -> SpinProjector:
-    """Lambda_+ = (pslash + i m)/(2 i m), Lambda_- = (pslash - i m)/(2 i m)."""
+def projector(state: ElectronState, sign: int) -> np.ndarray:
+    """Lambda_+ = (pslash + i m)/(2 i m), Lambda_- = (pslash - i m)/(2 i m);
+    Lambda_+ - Lambda_- = I."""
     if sign not in (+1, -1):
         raise DomainError("projector sign must be +1 or -1")
     m = state.mass
-    mat = (slash(state.p) + sign * 1j * m * I4) / (2j * m)
-    return SpinProjector(matrix=mat, sign=sign)
+    return (slash(state.p) + sign * 1j * m * I4) / (2j * m)
 
 
 def spin_sum(O: np.ndarray, P: np.ndarray, state: ElectronState, sign: int,
              s: np.ndarray, r: np.ndarray) -> complex:
     """sum over the two spin states u of (sbar O u)(ubar P r), reduced to the
     projector form (sbar O Lambda_+- P r)."""
-    lam = projector(state, sign).matrix
+    lam = projector(state, sign)
     return bar_sandwich(s, O @ lam @ P, r)
 
 

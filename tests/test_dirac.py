@@ -67,9 +67,11 @@ def test_slash_anticommutator_100_pairs():
 
 
 def test_feynman_slash_square():
+    # v0 g0 - v.gamma squares to -dot(v, v) * I in the Feynman metric
     v = rand_vec()
-    sq = dirac.slash(v, "feynman") @ dirac.slash(v, "feynman")
-    assert np.abs(sq + v.dot(v) * np.eye(4)).max() < 1e-12
+    g1, g2, g3, g0 = dirac.gammas("feynman")
+    vslash = v.x0 * g0 - v.x1 * g1 - v.x2 * g2 - v.x3 * g3
+    assert np.abs(vslash @ vslash + v.dot(v) * np.eye(4)).max() < 1e-12
 
 
 def test_spur_identity_is_four():
@@ -172,6 +174,18 @@ def test_perturbed_gamma1_fails_table():
     rep = dirac.verify_identity_tables("dyson", matrices=m)
     assert not rep.passed
     assert rep.max_deviation > 0.0
+    # a nan entry fails the table, and its deviation is reported as nan
+    m["gamma1"][0, 0] = np.nan
+    rep = dirac.verify_identity_tables("dyson", matrices=m)
+    assert not rep.passed
+    assert np.isnan(rep.max_deviation)
+
+
+def test_tables_are_built_once_and_read_only():
+    assert dirac.gammas("feynman")[0] is dirac.gamma_matrix("feynman", 1)
+    assert dirac.gammas()[3] is dirac.GAMMA[3]
+    with pytest.raises(ValueError):
+        dirac.gammas("dyson")[0][0, 0] = 1.0
 
 
 def test_spin_transformation_fixtures():

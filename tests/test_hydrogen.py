@@ -230,10 +230,13 @@ def test_level_table_stops_at_last_spectroscopic_letter():
 
 
 def test_zalpha_extension_flagged():
-    # alpha is checked against (0, 0.1): a Z alpha-sized value and NaN fail
+    # alpha is checked against (0, 0.1): a Z alpha-sized value and NaN fail,
+    # in the closed form, the expansion, the series and the shooting oracle
     qn = hyd.DiracQuantumNumbers(0, 1)
     for alpha in (0.5, math.nan):
-        with pytest.raises(DomainError):
-            hyd.dirac_energy(qn, alpha)
-        with pytest.raises(DomainError):
-            hyd.level_table(2, alpha)
+        for call in (lambda: hyd.dirac_energy(qn, alpha), lambda: hyd.level_table(2, alpha),
+                     lambda: hyd.fine_structure_expansion(2, 1, alpha),
+                     lambda: hyd.series_coefficients(qn, alpha, 0.9, 3),
+                     lambda: hyd.radial_shoot(qn, alpha, 0.9)):
+            with pytest.raises(DomainError):
+                call()

@@ -258,10 +258,13 @@ def test_mott_backscatter_spin_factor():
 
 
 def test_mott_forward_divergence_guard():
-    with pytest.raises(DomainError):
-        pr.mott_dcs(1.5, 0.0, 1.0, ALPHA)
-    with pytest.raises(DomainError):
-        pr.mott_dcs(0.9, 1.0, 1.0, ALPHA)
+    # E <= m and theta outside (0, pi] are domain errors, for the Rutherford
+    # shape as for the Mott cross section
+    for dcs in (pr.mott_dcs, pr.rutherford_dcs):
+        for energy, theta in ((1.5, 0.0), (0.9, 1.0), (0.5, 1.0), (1.0, 1.0),
+                              (1.5, -1.0), (1.5, 4.0)):
+            with pytest.raises(DomainError):
+                dcs(energy, theta, 1.0, ALPHA)
 
 
 @settings(max_examples=200, deadline=None)

@@ -150,8 +150,8 @@ def test_gauge_source_amplitude():
 
 
 def test_pair_creation_probability():
-    assert rad.pair_creation_probability(1.0, -3.0, +1, ALPHA) == 0.0
-    w = rad.pair_creation_probability(0.5, -9.0, +1, ALPHA)
+    assert rad.pair_creation_probability(1.0, -3.0, ALPHA) == 0.0
+    w = rad.pair_creation_probability(0.5, -9.0, ALPHA)
     assert w > 0.0
     two_route = rad.pair_creation_probability_power_route(0.5, -9.0, 3.2, ALPHA)
     assert abs(w / two_route - 1.0) < 1e-9
@@ -162,7 +162,7 @@ def test_pair_creation_nonnegative_sampled():
     for _ in range(50):
         q2 = -rng.uniform(4.0, 40.0)
         e2 = rng.uniform(0.01, 4.0)  # spacelike polarization squared
-        assert rad.pair_creation_probability(e2, q2, +1, ALPHA) >= 0.0
+        assert rad.pair_creation_probability(e2, q2, ALPHA) >= 0.0
 
 
 # ---------------------------------------------------------------------------

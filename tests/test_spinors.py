@@ -93,14 +93,14 @@ def test_charge_conjugation_preserves_density_and_current():
 
 def test_projector_difference_is_identity():
     st = random_state()
-    lam_p = spinors.projector(st, +1).matrix
-    lam_m = spinors.projector(st, -1).matrix
+    lam_p = spinors.projector(st, +1)
+    lam_m = spinors.projector(st, -1)
     assert np.abs(lam_p - lam_m - np.eye(4)).max() < 1e-12
 
 
 def test_projector_reproduces_spinors():
     st = random_state()
-    lam_p = spinors.projector(st, +1).matrix
+    lam_p = spinors.projector(st, +1)
     for u in spinors.plane_wave_spinors(st, +1):
         assert np.abs(lam_p @ u - u).max() < 1e-12
     for v in spinors.plane_wave_spinors(st, -1):
@@ -109,12 +109,12 @@ def test_projector_reproduces_spinors():
 
 def test_projector_spur_is_two():
     st = random_state()
-    assert abs(dirac.spur(spinors.projector(st, +1).matrix) - 2.0) < 1e-12
+    assert abs(dirac.spur(spinors.projector(st, +1)) - 2.0) < 1e-12
 
 
 def test_projector_annihilates_on_shell_factor():
     st = random_state()
-    lam_p = spinors.projector(st, +1).matrix
+    lam_p = spinors.projector(st, +1)
     factor = dirac.slash(st.p) - 1j * np.eye(4)
     assert np.abs(factor @ lam_p).max() < 1e-10
 
