@@ -368,7 +368,8 @@ def _check_coulomb_domain(energy: float, theta: float) -> None:
     if energy <= 1.0:
         raise DomainError("need E > m")
     if not 0.0 < theta <= math.pi:
-        raise DomainError("theta = 0 diverges (Coulomb forward singularity)")
+        raise DomainError(f"theta must lie in (0, pi] (theta = 0 is the Coulomb forward "
+                          f"singularity), got {theta!r} rad ({math.degrees(theta):g} deg)")
 
 
 def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:

@@ -9,6 +9,13 @@ and returns a read-only ``PairingSequence`` over their Cartesian product,
 fermion-major; a ``Pairing`` is built only when an item is read, so counting
 the pairings costs no more than enumerating the two factors.
 
+The fermion options come from a depth-first search that gives each chosen
+psi_bar a psi in ascending order, skipping used psis and psis at its own
+vertex, so a bad prefix is cut once rather than filtered in every completion.
+Each pair (a, b) flips the sign once for every still-unpaired fermion factor
+written strictly between a and b: the inversion count of the permutation to
+the pairs-first order, taken one pair at a time.
+
 Purely combinatorial: no amplitude is evaluated.  Each internal line carries
 the momentum-space factor it would contribute as metadata.
 """
@@ -91,54 +98,43 @@ class Pairing:
 def _photon_matchings(photons, vertices):
     """All partial pairings of photon slots (including empty), no same-vertex
     pairs."""
-    def rec(slots):
-        if len(slots) < 2:
-            yield ()
-            return
-        first, rest = slots[0], slots[1:]
-        # first stays unpaired
-        for tail in rec(rest):
-            yield tail
-        # first pairs with a later slot
-        for i, other in enumerate(rest):
-            if vertices[first] == vertices[other]:
-                continue
-            remaining = rest[:i] + rest[i + 1:]
-            for tail in rec(remaining):
-                yield ((first, other),) + tail
-
-    return list(rec(tuple(photons)))
+    out = []
+    _match_photons(tuple(photons), vertices, (), out)
+    return out
 
 
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
+def _match_photons(slots, vertices, prefix, out):
+    """Append to ``out`` every partial matching of ``slots`` after ``prefix``:
+    first those leaving ``slots[0]`` unpaired, then those pairing it with
+    each later slot in turn."""
+    if len(slots) < 2:
+        out.append(prefix)
+        return
+    first, rest = slots[0], slots[1:]
+    _match_photons(rest, vertices, prefix, out)
+    for i, other in enumerate(rest):
+        if vertices[first] != vertices[other]:
+            _match_photons(rest[:i] + rest[i + 1:], vertices,
+                           prefix + ((first, other),), out)
+
+
+def _pair_bars(candidates, k, prefix, free, sign, options, signs):
+    """Append to ``options`` and ``signs`` every completion of ``prefix`` that
+    gives the bars of ``candidates[k:]`` one psi each, psis in ascending
+    order.  ``free`` is the bitmask of the fermion slots not yet paired, and
+    a candidate is ``(pair, mask, between)``: the pair, its two slots' bits,
+    and the bits of the slots strictly between them."""
+    last = k == len(candidates) - 1
+    for pair, mask, between in candidates[k]:
+        if ~free & mask:
             continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _fermion_sign(pos, fermion_pairs) -> int:
-    """Parity of the permutation of fermion factors from written order to
-    the pairs-first order (each pair in written order, unpaired factors
-    after in written order).  ``pos`` maps each fermion slot of the product,
-    in written order, to its position among the fermion factors.  Moving a
-    pair past another pair is an even permutation, so the order in which the
-    pairs are listed does not change the sign."""
-    perm = []
-    for (i, j) in fermion_pairs:
-        perm += (pos[i], pos[j]) if i < j else (pos[j], pos[i])
-    paired = {i for pair in fermion_pairs for i in pair}
-    perm += [n for slot, n in pos.items() if slot not in paired]
-    return _permutation_sign(perm)
+        s = -sign if (between & free).bit_count() & 1 else sign
+        if last:
+            options.append(prefix + (pair,))
+            signs.append(s)
+        else:
+            _pair_bars(candidates, k + 1, prefix + (pair,), free ^ mask, s,
+                       options, signs)
 
 
 class PairingSequence(Sequence):
@@ -187,16 +183,22 @@ def enumerate_pairings(prod: OperatorProduct) -> PairingSequence:
     photons = [i for i, f in enumerate(prod.factors) if f.kind == PHOTON]
     vertices = {i: f.vertex for i, f in enumerate(prod.factors)}
 
-    fermion_options = [()]
+    # bit n stands for the n-th fermion factor in written order; with
+    # lo < hi two such bits, hi - 2 * lo holds every bit strictly between
+    bit = {slot: 1 << n for n, slot in enumerate(sorted(bars + psis))}
+    candidates = {b: [] for b in bars}
+    for b in bars:
+        for p in psis:
+            if vertices[b] != vertices[p]:
+                lo, hi = sorted((bit[b], bit[p]))
+                candidates[b].append(((b, p), lo | hi, hi - 2 * lo))
+    fermion_options, signs = [()], [1]
+    free = (1 << len(bit)) - 1
     for size in range(1, min(len(bars), len(psis)) + 1):
         for bar_subset in itertools.combinations(bars, size):
-            for psi_perm in itertools.permutations(psis, size):
-                pairs = tuple(zip(bar_subset, psi_perm))
-                if all(vertices[b] != vertices[p] for b, p in pairs):
-                    fermion_options.append(pairs)
+            _pair_bars([candidates[b] for b in bar_subset], 0, (), free, 1,
+                       fermion_options, signs)
 
-    pos = {slot: n for n, slot in enumerate(sorted(bars + psis))}
-    signs = [_fermion_sign(pos, fpairs) for fpairs in fermion_options]
     return PairingSequence(fermion_options, signs, _photon_matchings(photons, vertices))
 
 

@@ -188,6 +188,14 @@ def test_domain_error_exits_two():
     assert code == 2
 
 
+def test_mott_domain_error_names_the_range_and_the_angle(capsys):
+    code, out = run(["xsec", "mott", "--energy", "1.5", "--theta-grid", "170:200:3"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == ("domain error: theta must lie in (0, pi] (theta = 0 is the Coulomb "
+                   "forward singularity), got 3.2288591161895095 rad (185 deg)\n")
+
+
 def test_env_var_selects_profile():
     old = os.environ.get("QED51_CONSTANTS")
     try:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -253,7 +254,9 @@ def _nested_loop_reference(prod):
 
 
 REFERENCE_PRODUCTS = {
-    **{f"current^{n}": wick.OperatorProduct.current_product(n) for n in (2, 3, 4)},
+    **{f"current^{n}": wick.OperatorProduct.current_product(n) for n in (2, 3, 4, 5)},
+    "current^6 fermions": wick.OperatorProduct(
+        [f for f in wick.OperatorProduct.current_product(6).factors if f.kind != wick.PHOTON]),
     "second-order-potential": wick.OperatorProduct.external_potential_second_order(),
     **{f"photons:{n}": wick.OperatorProduct.photons(n) for n in range(7)},
     "single-psi": wick.OperatorProduct([(wick.PSI, 1)]),
@@ -267,6 +270,20 @@ def test_pairings_match_nested_loop_reference(name):
     reference = _nested_loop_reference(prod)
     assert len(pairings) == len(reference)
     assert list(pairings) == reference
+
+
+def test_enumeration_leaves_no_garbage_cycle():
+    # a self-referencing closure or generator would keep every call's option
+    # tuples alive until a full collection
+    prod = wick.OperatorProduct.current_product(6)
+    gc.collect()
+    gc.disable()
+    try:
+        pairings = wick.enumerate_pairings(prod)
+        del pairings
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pairing_sequence_indexing():
