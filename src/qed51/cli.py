@@ -17,6 +17,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 from .constants import (DYSON, FEYNMAN, FORMATS, O16_MC2_MEV, PROFILES, UNITS, RunConfig,
@@ -522,6 +523,13 @@ def main(argv=None) -> int:
                            **({"constants": profile} if profile else {}))
         table = HANDLERS[args.command](args, config)
         emit(table, config)
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full device: point stdout at os.devnull so the
+        # flush at exit cannot fail again ("Note on SIGPIPE", signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc.strerror}", file=sys.stderr)
+        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -33,6 +33,9 @@ C_CM_S = 2.99792458e10
 DYSON = "dyson"
 FEYNMAN = "feynman"
 
+# Spectroscopic letter of each orbital angular momentum ell = 0, 1, 2, ...
+ORBITAL_LETTERS = "spdfgh"
+
 # The O16 pair-emission problem is worked in Gaussian-style units with
 # rounded textbook values; processes.o16_total_rate and `qed51 o16` use
 # these, not the profiles below.

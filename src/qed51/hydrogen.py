@@ -15,11 +15,8 @@ import math
 from dataclasses import dataclass
 
 from . import numerics
-from .constants import check_alpha
+from .constants import ORBITAL_LETTERS, check_alpha
 from .errors import DomainError, NumericError
-
-# Spectroscopic letter of each orbital angular momentum ell = 0, 1, 2, ...
-ORBITAL_LETTERS = "spdfgh"
 
 
 @dataclass(frozen=True)

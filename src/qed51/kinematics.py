@@ -1,7 +1,7 @@
 """Four-vectors, external-leg states, and cross-section kinematics.
 
-Natural units throughout: hbar = c = 1, electron mass mu = 1 unless a mass
-is passed explicitly.  Four-vectors are stored with real components
+Natural units throughout: hbar = c = 1 and the electron mass mu = 1; the
+mass is not a parameter.  Four-vectors are stored with real components
 (x1, x2, x3, x0) and the dot product carries signature (+, +, +, -); the
 imaginary fourth component of the covariant x4 = i*x0 convention exists
 only inside dirac.slash.
@@ -59,24 +59,22 @@ class FourVector:
 
 
 class ElectronState:
-    """On-shell electron leg: dot(p, p) + mass^2 = 0 within 1e-10 relative."""
+    """On-shell electron leg: dot(p, p) + 1 = 0 within 1e-10 relative."""
 
-    __slots__ = ("p", "mass")
+    __slots__ = ("p",)
 
-    def __init__(self, p: FourVector, mass: float = 1.0):
-        if mass <= 0:
-            raise DomainError("electron mass must be positive")
-        resid = abs(p.dot(p) + mass**2)
-        if resid > ONSHELL_TOL * max(1.0, p.x0**2):
+    def __init__(self, p: FourVector):
+        resid = abs(p.dot(p) + 1.0)
+        if not resid <= ONSHELL_TOL * max(1.0, p.x0**2):
             raise DomainError(f"off-shell electron state, |p.p + m^2| = {resid:g}")
-        self.p, self.mass = p, float(mass)
+        self.p = p
 
     @property
     def energy(self) -> float:
         return self.p.x0
 
     def __repr__(self):
-        return f"ElectronState(p={self.p!r}, mass={self.mass})"
+        return f"ElectronState(p={self.p!r})"
 
 
 class PhotonState:
@@ -86,42 +84,42 @@ class PhotonState:
 
     def __init__(self, k: FourVector, e: FourVector):
         scale = max(1.0, k.x0**2)
-        if abs(k.dot(k)) > ONSHELL_TOL * scale:
+        if not abs(k.dot(k)) <= ONSHELL_TOL * scale:
             raise DomainError("photon not on the light cone")
-        if abs(e.x0) > ONSHELL_TOL:
+        if not abs(e.x0) <= ONSHELL_TOL:
             raise DomainError("photon polarized in time (e0 != 0)")
-        if abs(e.dot(k)) > ONSHELL_TOL * max(1.0, abs(k.x0)):
+        if not abs(e.dot(k)) <= ONSHELL_TOL * max(1.0, abs(k.x0)):
             raise DomainError("polarization not transverse (e.k != 0)")
-        if abs(e.dot(e) - 1.0) > ONSHELL_TOL:
+        if not abs(e.dot(e) - 1.0) <= ONSHELL_TOL:
             raise DomainError("polarization not unit-normalized")
         self.k, self.e = k, e
 
 
-def electron_at_rest(mass: float = 1.0) -> ElectronState:
-    return ElectronState(FourVector(0.0, 0.0, 0.0, mass), mass)
+def electron_at_rest() -> ElectronState:
+    return ElectronState(FourVector(0.0, 0.0, 0.0, 1.0))
 
 
-def electron_from_energy(energy: float, direction, mass: float = 1.0) -> ElectronState:
+def electron_from_energy(energy: float, direction) -> ElectronState:
     """On-shell electron with given total energy moving along ``direction``."""
     import numpy as np
 
-    if energy < mass:
-        raise DomainError(f"energy {energy} below rest mass {mass}")
+    if not energy >= 1.0:
+        raise DomainError(f"energy {energy} is not >= the rest mass 1")
     d = np.asarray(direction, dtype=float)
     norm = math.sqrt(float(d @ d))
     if norm == 0.0:
         raise DomainError("direction must be a nonzero 3-vector")
-    pmag = math.sqrt(energy**2 - mass**2)
+    pmag = math.sqrt(energy**2 - 1.0)
     vec = pmag * d / norm
-    return ElectronState(FourVector(vec[0], vec[1], vec[2], energy), mass)
+    return ElectronState(FourVector(vec[0], vec[1], vec[2], energy))
 
 
-def compton_shift(k0: float, theta: float, mass: float = 1.0) -> float:
+def compton_shift(k0: float, theta: float) -> float:
     """Scattered photon frequency off an electron at rest:
-    k0' = k0 / (1 + (1 - cos theta) k0/m)."""
+    k0' = k0 / (1 + (1 - cos theta) k0)."""
     if k0 <= 0:
         raise DomainError("incident frequency must be positive")
-    return k0 / (1.0 + (1.0 - math.cos(theta)) * k0 / mass)
+    return k0 / (1.0 + (1.0 - math.cos(theta)) * k0)
 
 
 def moller_cm_angle(gamma: float, theta_lab: float) -> float:
@@ -144,14 +142,13 @@ def _flux_factor(a: FourVector, b: FourVector) -> float:
 
 
 def two_body_cross_section(K: complex, p1: FourVector, p2: FourVector,
-                           p1p: FourVector, p2p: FourVector,
-                           mass: float = 1.0) -> float:
+                           p1p: FourVector, p2p: FourVector) -> float:
     """Cross section per transverse-momentum element d2p'_1 from an invariant
     matrix element M = K (2 pi)^4 delta4(p1 + p2 - p1' - p2').
 
     Requires p1, p2 collinear along axis 3 and exact conservation; includes
-    the |E2 p13 - E1 p23| flux factor for both vertex pairs and the (m c^2)^4
-    state-normalization factor.  Invariant under boosts along axis 3.
+    the |E2 p13 - E1 p23| flux factor for both vertex pairs; the (m c^2)^4
+    state-normalization factor is 1.  Invariant under boosts along axis 3.
     """
     check_conservation(p1 + p2 - p1p - p2p)
     if max(abs(p1.x1), abs(p1.x2), abs(p2.x1), abs(p2.x2)) > 1e-12:
@@ -162,14 +159,14 @@ def two_body_cross_section(K: complex, p1: FourVector, p2: FourVector,
         raise DomainError("zero relative flux: collision frame degenerate")
     if flux_out == 0.0:
         raise DomainError("final momenta give a vanishing phase-space factor")
-    return abs(K) ** 2 * mass**4 / (4.0 * math.pi**2 * flux_in * flux_out)
+    return abs(K) ** 2 / (4.0 * math.pi**2 * flux_in * flux_out)
 
 
-def moller_cm_momenta(gamma: float, x_cm: float, mass: float = 1.0):
+def moller_cm_momenta(gamma: float, x_cm: float):
     """CM-frame four-momenta (p1, p2, p1', p2') for incident lab energy
-    gamma*m on a target at rest and CM scattering cosine x_cm (phi = 0)."""
-    e_star = mass * math.sqrt((gamma + 1.0) / 2.0)
-    p_star = math.sqrt(e_star**2 - mass**2)
+    gamma on a target at rest and CM scattering cosine x_cm (phi = 0)."""
+    e_star = math.sqrt((gamma + 1.0) / 2.0)
+    p_star = math.sqrt(e_star**2 - 1.0)
     s = math.sqrt(max(0.0, 1.0 - x_cm**2))
     p1 = FourVector(0.0, 0.0, p_star, e_star)
     p2 = FourVector(0.0, 0.0, -p_star, e_star)

@@ -272,10 +272,10 @@ def annihilation_amplitude(u: np.ndarray, u_neg: np.ndarray,
     return spinors.bar_sandwich(u_neg, annihilation_vertex(k, e, kp, ep), u)
 
 
-def rest_annihilation_photons(mass: float = 1.0):
+def rest_annihilation_photons():
     """Back-to-back photons along axis 3 with perpendicular polarizations."""
-    k = FourVector(0, 0, mass, mass)
-    kp = FourVector(0, 0, -mass, mass)
+    k = FourVector(0, 0, 1.0, 1.0)
+    kp = FourVector(0, 0, -1.0, 1.0)
     e = FourVector(1, 0, 0, 0)
     ep = FourVector(0, 1, 0, 0)
     return k, kp, e, ep

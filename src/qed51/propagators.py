@@ -54,19 +54,19 @@ def photon_propagator(k: FourVector, policy: IEpsilonPolicy = DEFAULT_POLICY) ->
     return 1.0 / (k2 - 1j * policy.epsilon)
 
 
-def electron_propagator(k: FourVector, mass: float = 1.0,
+def electron_propagator(k: FourVector,
                         policy: IEpsilonPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """(kslash + i m) / (k.k + m^2 - i eps), a 4x4 matrix."""
+    """(kslash + i m) / (k.k + m^2 - i eps) with m = 1, a 4x4 matrix."""
     from .dirac import I4, slash
 
-    denom = k.dot(k) + mass**2
+    denom = k.dot(k) + 1.0
     if policy.exact:
         if denom == 0.0:
             raise PoleError("electron propagator evaluated on shell in exact mode")
         denom_c = denom
     else:
         denom_c = denom - 1j * policy.epsilon
-    return (slash(k) + 1j * mass * I4) / denom_c
+    return (slash(k) + 1j * I4) / denom_c
 
 
 def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:

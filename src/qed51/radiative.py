@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 from . import numerics
-from .constants import Constants
+from .constants import ORBITAL_LETTERS, Constants
 from .errors import DomainError
-from .hydrogen import ORBITAL_LETTERS
 from .propagators import CutoffQuantity
 
 QUAD_EPS = 1e-12
@@ -217,10 +216,10 @@ def self_energy_z_integral(r_value: float) -> float:
     return -4.0 * math.pi**2 * val
 
 
-def delta_m(mass: float, alpha: float) -> CutoffQuantity:
-    """Electromagnetic self-mass dm = (3 alpha / 2 pi) R' m, kept symbolic:
-    log coefficient (3 alpha/2 pi) m, finite part (3 alpha/2 pi)(5/6) m."""
-    coeff = 3.0 * alpha / (2.0 * math.pi) * mass
+def delta_m(alpha: float) -> CutoffQuantity:
+    """Electromagnetic self-mass dm = (3 alpha / 2 pi) R' in units of m, kept
+    symbolic: log coefficient 3 alpha/2 pi, finite part (3 alpha/2 pi)(5/6)."""
+    coeff = 3.0 * alpha / (2.0 * math.pi)
     return CutoffQuantity(finite=coeff * 5.0 / 6.0, log_coeff=coeff, cutoff="k_max")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dirac import ALPHA, BETA, GAMMA, I4, slash, spur
 from .errors import DomainError
-from .kinematics import ElectronState, FourVector
+from .kinematics import ElectronState, electron_from_energy
 
 C_MATRIX = GAMMA[1]  # charge-conjugation matrix gamma2 = -i beta alpha2
 
@@ -26,13 +26,13 @@ def plane_wave_spinors(state: ElectronState, energy_sign: int = +1):
 
     energy_sign=+1: (pslash - i m) u = 0;  energy_sign=-1: (pslash + i m) v = 0.
     """
-    p, m = state.p, state.mass
+    p = state.p
     E = p.x0
     pp = p.x1 + 1j * p.x2
     pm = p.x1 - 1j * p.x2
     p3 = p.x3
-    d = E + m
-    n = math.sqrt(d / (2.0 * m))
+    d = E + 1.0
+    n = math.sqrt(d / 2.0)
     if energy_sign == +1:
         a = np.array([1.0, 0.0, p3 / d, pp / d], dtype=complex)
         b = np.array([0.0, 1.0, pm / d, -p3 / d], dtype=complex)
@@ -60,12 +60,11 @@ def charge_conjugate(u: np.ndarray) -> np.ndarray:
 
 
 def projector(state: ElectronState, sign: int) -> np.ndarray:
-    """Lambda_+ = (pslash + i m)/(2 i m), Lambda_- = (pslash - i m)/(2 i m);
-    Lambda_+ - Lambda_- = I."""
+    """Lambda_+ = (pslash + i)/(2 i), Lambda_- = (pslash - i)/(2 i) in units
+    m = 1; Lambda_+ - Lambda_- = I."""
     if sign not in (+1, -1):
         raise DomainError("projector sign must be +1 or -1")
-    m = state.mass
-    return (slash(state.p) + sign * 1j * m * I4) / (2j * m)
+    return (slash(state.p) + sign * 1j * I4) / 2j
 
 
 def spin_sum(O: np.ndarray, P: np.ndarray, state: ElectronState, sign: int,
@@ -97,31 +96,24 @@ def completeness_matrix(state: ElectronState) -> np.ndarray:
     return out
 
 
-def mott_spin_factor(energy: float, theta: float, mass: float = 1.0) -> float:
+def mott_spin_factor(energy: float, theta: float) -> float:
     """(1/2) sum over spins of |u'* u|^2 for elastic scattering through theta:
-    (E^2/m^2)(1 - beta^2 sin^2(theta/2))."""
-    if energy < mass:
-        raise DomainError("energy below rest mass")
-    beta2 = 1.0 - (mass / energy) ** 2
-    return (energy / mass) ** 2 * (1.0 - beta2 * math.sin(theta / 2.0) ** 2)
+    E^2 (1 - beta^2 sin^2(theta/2))."""
+    if not energy >= 1.0:
+        raise DomainError(f"energy {energy} is not >= the rest mass 1")
+    beta2 = 1.0 - (1.0 / energy) ** 2
+    return energy**2 * (1.0 - beta2 * math.sin(theta / 2.0) ** 2)
 
 
-def mott_spin_factor_direct(energy: float, theta: float, mass: float = 1.0) -> float:
+def mott_spin_factor_direct(energy: float, theta: float) -> float:
     """The same factor by explicit summation over the four spinor pairs."""
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    st_in = ElectronState(_momentum(energy, (0.0, 0.0, 1.0), mass), mass)
-    st_out = ElectronState(_momentum(energy, (sin_t, 0.0, cos_t), mass), mass)
+    st_in = electron_from_energy(energy, (0.0, 0.0, 1.0))
+    st_out = electron_from_energy(energy, (math.sin(theta), 0.0, math.cos(theta)))
     total = 0.0
     for u in plane_wave_spinors(st_in, +1):
         for up in plane_wave_spinors(st_out, +1):
             total += abs(np.vdot(up, u)) ** 2
     return total / 2.0
-
-
-def _momentum(energy, direction, mass) -> FourVector:
-    pmag = math.sqrt(energy**2 - mass**2)
-    return FourVector(pmag * direction[0], pmag * direction[1],
-                      pmag * direction[2], energy)
 
 
 def probability_density(u: np.ndarray) -> float:

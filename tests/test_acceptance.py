@@ -181,7 +181,7 @@ def test_criterion_07_vacuum_polarization():
 def test_criterion_08_self_energy():
     worst = max(abs(rad.self_energy_z_integral(r) - (-(math.pi**2) * (6 * r + 5)))
                 for r in (0.0, 1.0, 2.5, 7.0))
-    dm = rad.delta_m(1.0, MODERN.alpha)
+    dm = rad.delta_m(MODERN.alpha)
     exact_coeff = dm.log_coeff == 3.0 * MODERN.alpha / (2.0 * math.pi)
     _report(8, "z-integral reproduces -pi^2 mu (6R+5) < 1e-8; "
                "delta-m log coefficient exactly 3 alpha/2pi",

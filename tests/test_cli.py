@@ -5,6 +5,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 from qed51 import cli, radiative, wick
 from qed51.errors import DomainError
 
-SCHEMA = json.loads((Path(__file__).resolve().parents[1]
-                     / "docs" / "output-schema.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "output-schema.json").read_text())
+CLI = [sys.executable, "-m", "qed51.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def run(argv):
@@ -219,6 +223,28 @@ def test_wick_graph_dot_file(tmp_path):
     text = dot_file.read_text()
     assert text.count("digraph") == 8
     assert "style=dotted" in text
+
+
+def test_closed_stdout_pipe_exits_two():
+    # the reader stops after one line of about a megabyte of graph rows
+    with subprocess.Popen(CLI + ["wick", "graphs", "--product", "current^5"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=CLI_ENV) as proc:
+        assert proc.stdout.readline() == b"Graphs for current^5\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == b"error: cannot write the output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_device_exits_two():
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(CLI + ["lamb", "--budget"], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=CLI_ENV,
+                             timeout=120)
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write the output: No space left on device\n"
 
 
 def test_wick_count_second_order():

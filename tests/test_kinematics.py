@@ -29,6 +29,21 @@ def test_off_shell_state_rejected():
         kin.ElectronState(kin.FourVector(0.5, 0, 0, 1.0))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kin.ElectronState(kin.FourVector(NAN, 0, 0, 1.0)),
+    lambda: kin.ElectronState(kin.FourVector(0, 0, 0, NAN)),
+    lambda: kin.electron_from_energy(NAN, (0, 0, 1)),
+    lambda: kin.PhotonState(kin.FourVector(0, 0, NAN, NAN), kin.FourVector(1, 0, 0, 0)),
+    lambda: kin.PhotonState(kin.FourVector(0, 0, 2.0, 2.0), kin.FourVector(NAN, 0, 0, 0)),
+], ids=["electron-p1", "electron-p0", "from-energy", "photon-k", "photon-e"])
+def test_nan_momentum_is_not_on_shell(make):
+    with pytest.raises(DomainError):
+        make()
+
+
 def test_photon_state_validation():
     k = kin.FourVector(0, 0, 2.0, 2.0)
     kin.PhotonState(k, kin.FourVector(1, 0, 0, 0))

@@ -43,6 +43,21 @@ print("numpy" in sys.modules, abs(brute / pr.moller_dcs(2.0, 0.5, 1 / 137.036) -
     assert res.stdout.splitlines() == ["False True", "True True"]
 
 
+def test_radiative_leaves_hydrogen_unloaded(tmp_path):
+    # the spectroscopic letters live in qed51.constants, so lamb, uehling,
+    # moment and vacpol need no hydrogen module
+    script = """
+import sys
+import qed51.radiative
+print("qed51.hydrogen" in sys.modules)
+"""
+    res = subprocess.run([sys.executable, "-c", script],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_every_public_name_resolves():
     for name in qed51.__all__:
         value = getattr(qed51, name)

@@ -34,29 +34,29 @@ def test_photon_propagator_pole_raises_in_exact_mode():
 
 def test_electron_propagator_identity():
     k = FourVector(0.2, -0.4, 0.3, 0.9)
-    mat = prop.electron_propagator(k, 1.0, EXACT)
+    mat = prop.electron_propagator(k, EXACT)
     lhs = (slash(k) - 1j * np.eye(4)) @ mat
     denom = k.dot(k) + 1.0
     assert np.abs(lhs * denom - denom * np.eye(4)).max() < 1e-10
 
 
 def test_electron_propagator_at_zero_momentum():
-    mat = prop.electron_propagator(FourVector(), 1.0, EXACT)
+    mat = prop.electron_propagator(FourVector(), EXACT)
     assert np.abs(mat - 1j * np.eye(4)).max() < 1e-12
 
 
 def test_electron_propagator_far_offshell_decay():
     k_small = FourVector(3.0, 0, 0, 0)
     k_big = FourVector(30.0, 0, 0, 0)
-    n_small = np.abs(prop.electron_propagator(k_small, 1.0, EXACT)).max()
-    n_big = np.abs(prop.electron_propagator(k_big, 1.0, EXACT)).max()
+    n_small = np.abs(prop.electron_propagator(k_small, EXACT)).max()
+    n_big = np.abs(prop.electron_propagator(k_big, EXACT)).max()
     assert n_big < n_small
     assert abs(n_big * 30.0 - 1.0) < 0.01  # ~ 1/|k|
 
 
 def test_electron_propagator_pole():
     with pytest.raises(PoleError):
-        prop.electron_propagator(FourVector(0, 0, 0, 1.0), 1.0, EXACT)
+        prop.electron_propagator(FourVector(0, 0, 0, 1.0), EXACT)
 
 
 def test_feynman_combine2_values():
@@ -165,7 +165,7 @@ def test_propagator_analytic_in_epsilon():
     for _ in range(200):
         k = FourVector(*rng.uniform(-2, 2, size=4))
         assert np.isfinite(prop.photon_propagator(k, pol))
-        assert np.isfinite(np.abs(prop.electron_propagator(k, 1.0, pol)).max())
+        assert np.isfinite(np.abs(prop.electron_propagator(k, pol)).max())
 
 
 def test_cutoff_quantity_algebra():

@@ -214,7 +214,7 @@ def test_self_energy_constant_structure():
 
 
 def test_delta_m_coefficients():
-    dm = rad.delta_m(1.0, ALPHA)
+    dm = rad.delta_m(ALPHA)
     assert abs(dm.log_coeff - 3.0 * ALPHA / (2.0 * math.pi)) < 1e-15
     assert abs(dm.finite / dm.log_coeff - 5.0 / 6.0) < 1e-12  # R' - R = 5/6
 

@@ -171,6 +171,17 @@ def test_mott_spin_factor_backscatter():
     assert abs(val - energy**2 * (1.0 - beta2)) < 1e-12
 
 
+@pytest.mark.parametrize("spin_factor, energy", [
+    (spinors.mott_spin_factor, float("nan")),
+    (spinors.mott_spin_factor_direct, float("nan")),
+    (spinors.mott_spin_factor_direct, 0.5),
+], ids=["closed-nan", "direct-nan", "direct-below-mass"])
+def test_mott_spin_factor_energy_outside_domain(spin_factor, energy):
+    # a DomainError, not math's ValueError or a nan result
+    with pytest.raises(DomainError):
+        spin_factor(energy, 1.0)
+
+
 def test_projector_sign_validation():
     with pytest.raises(DomainError):
         spinors.projector(electron_at_rest(), 2)
