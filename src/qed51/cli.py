@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -58,6 +59,9 @@ def emit(table: Table, config: RunConfig, stream=None) -> None:
     writing anything, if a float cell or meta value is nan or infinite."""
     _check_finite(table)
     stream = stream or sys.stdout
+    if stream is None:
+        # fd 1 was closed at start-up, so Python set sys.stdout to None
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     if config.output_format == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(table.columns)
@@ -527,7 +531,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         # a closed pipe or a full device: point stdout at os.devnull so the
         # flush at exit cannot fail again ("Note on SIGPIPE", signal docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write the output: {exc.strerror}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -72,40 +72,85 @@ def moller_dcs(gamma: float, theta: float, alpha: float,
     return dcs
 
 
+def _gamma_rows(u) -> list:
+    """The four rows ubar gamma_mu of an outgoing spinor, mu = 1..4."""
+    from . import dirac, spinors
+
+    ubar = spinors.adjoint(u)
+    return [ubar @ g for g in dirac.GAMMA]
+
+
+def _current(rows, u) -> list:
+    """The current ubar' gamma_mu u, mu = 1..4, from the rows of ubar'."""
+    return [row @ u for row in rows]
+
+
+def _moller_contract(j1, j2, x1, x2, q2_direct: float, q2_exch: float,
+                     e2: float) -> complex:
+    """-i e^2 [sum_mu j1 j2 / q2_direct - sum_mu x1 x2 / q2_exch] for the
+    direct currents j1, j2 and the exchange currents x1, x2."""
+    direct = exch = 0.0j
+    for mu in range(4):
+        direct += j1[mu] * j2[mu]
+        exch += x1[mu] * x2[mu]
+    return -1j * e2 * (direct / q2_direct - exch / q2_exch)
+
+
 def moller_amplitude(p1, u1, p2, u2, p1p, u1p, p2p, u2p, alpha: float) -> complex:
     """Invariant matrix element envelope K (direct minus exchange):
     -i e^2 sum_mu [(u1'bar g u1)(u2'bar g u2)/(p1-p1')^2 - exchange],
     Heaviside-Lorentz normalization e^2 = 4 pi alpha."""
-    from . import dirac, spinors
-
     e2 = 4.0 * math.pi * alpha
     q_direct = p1 - p1p
     q_exch = p1 - p2p
-    direct = exch = 0.0j
-    for g in dirac.GAMMA:
-        direct += (spinors.adjoint(u1p) @ g @ u1) * (spinors.adjoint(u2p) @ g @ u2)
-        exch += (spinors.adjoint(u2p) @ g @ u1) * (spinors.adjoint(u1p) @ g @ u2)
-    return -1j * e2 * (direct / q_direct.dot(q_direct)
-                       - exch / q_exch.dot(q_exch))
+    rows1p, rows2p = _gamma_rows(u1p), _gamma_rows(u2p)
+    return _moller_contract(_current(rows1p, u1), _current(rows2p, u2),
+                            _current(rows2p, u1), _current(rows1p, u2),
+                            q_direct.dot(q_direct), q_exch.dot(q_exch), e2)
 
 
 def moller_dcs_brute(gamma: float, theta: float, alpha: float) -> float:
     """dsigma/dOmega* from the explicit sum over all 16 spin configurations
     of the matrix element, assembled through the general two-body
-    cross-section formula.  Independent oracle for moller_dcs."""
+    cross-section formula.  Independent oracle for moller_dcs.
+
+    Each call builds the 8 leg spinors, the 16 rows ubar' gamma_mu of the
+    outgoing ones and the 64 currents ubar' gamma_mu u once, then contracts
+    them for each of the 16 configurations.  Raises NumericError where a
+    momentum transfer squares to 0 (theta* rounded to 0 or pi) or the spin
+    sum is not finite.
+    """
     from . import spinors
 
     x = moller_cm_angle(gamma, theta)
     p1, p2, p1p, p2p = moller_cm_momenta(gamma, x)
     states = [ElectronState(p) for p in (p1, p2, p1p, p2p)]
     legs = [spinors.plane_wave_spinors(s, +1) for s in states]
+    e2 = 4.0 * math.pi * alpha
+    q_direct = p1 - p1p
+    q_exch = p1 - p2p
+    q2_direct = q_direct.dot(q_direct)
+    q2_exch = q_exch.dot(q_exch)
+    if q2_direct == 0.0 or q2_exch == 0.0:
+        raise NumericError(f"Moller spin sum: a momentum transfer squares to 0 at "
+                           f"lab angle {theta!r}")
+    rows1p = [_gamma_rows(u) for u in legs[2]]
+    rows2p = [_gamma_rows(u) for u in legs[3]]
+    # [outgoing spin][incoming spin] for 1'<-1, 2'<-2, 2'<-1 and 1'<-2
+    j11 = [[_current(r, u) for u in legs[0]] for r in rows1p]
+    j22 = [[_current(r, u) for u in legs[1]] for r in rows2p]
+    j21 = [[_current(r, u) for u in legs[0]] for r in rows2p]
+    j12 = [[_current(r, u) for u in legs[1]] for r in rows1p]
     total = 0.0
-    for u1 in legs[0]:
-        for u2 in legs[1]:
-            for u1p in legs[2]:
-                for u2p in legs[3]:
-                    k = moller_amplitude(p1, u1, p2, u2, p1p, u1p, p2p, u2p, alpha)
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                for d in range(2):
+                    k = _moller_contract(j11[c][a], j22[d][b], j21[d][a], j12[c][b],
+                                         q2_direct, q2_exch, e2)
                     total += abs(k) ** 2
+    if not math.isfinite(total):
+        raise NumericError(f"Moller spin sum is not finite at lab angle {theta!r}")
     k_eff = math.sqrt(total / 4.0)   # average initial spins, sum final
     sigma_density = two_body_cross_section(k_eff, p1, p2, p1p, p2p)
     p_star = p1.x3
@@ -136,11 +181,16 @@ def bhabha_amplitude(p_in: FourVector, u_in, q_in: FourVector, v_in,
 # ---------------------------------------------------------------------------
 # Compton scattering / Klein-Nishina.
 
-def _compton_vertex(k, e, kp, ep) -> np.ndarray:
+def _slashes(*vectors) -> list:
     from . import dirac
 
-    return (dirac.slash(e) @ dirac.slash(kp) @ dirac.slash(ep) / kp.x0
-            + dirac.slash(ep) @ dirac.slash(k) @ dirac.slash(e) / k.x0)
+    return [dirac.slash(v) for v in vectors]
+
+
+def _compton_vertex(s_k, s_e, s_kp, s_ep, k0: float, k0p: float) -> np.ndarray:
+    """eslash k'slash e'slash / k0' + e'slash kslash eslash / k0 from the
+    slashes of k, e, k' and e'."""
+    return s_e @ s_kp @ s_ep / k0p + s_ep @ s_k @ s_e / k0
 
 
 def compton_geometry(eps: float, theta: float):
@@ -175,7 +225,8 @@ def compton_amplitude(p: FourVector, k: FourVector, e: FourVector,
         if abs(pol.x0) > 1e-10 or abs(pol.dot(photon_k)) > 1e-9:
             raise DomainError("unphysical photon polarization")
     e2 = 4.0 * math.pi * alpha
-    return spinors.bar_sandwich(up, _compton_vertex(k, e, kp, ep), u) * e2 / 2.0
+    vertex = _compton_vertex(*_slashes(k, e, kp, ep), k.x0, kp.x0)
+    return spinors.bar_sandwich(up, vertex, u) * e2 / 2.0
 
 
 def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
@@ -185,6 +236,11 @@ def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
     route = "closed":   e^4/(4) {(k0-k0')^2/(k0 k0') + 4 (e.e')^2}
     route = "trace":    the projector-spur expression
     route = "spinors":  explicit sum over the four spinor pairs
+
+    Both non-closed routes take the slashes of k, e, k' and e' once per
+    call: "trace" forms the vertex and its reversed partner from them and
+    adds the slashes of p and p' (6 slash calls), "spinors" forms the vertex
+    alone (4).
     """
     p, k, kp, pp = compton_geometry(eps, theta)
     e2 = 4.0 * math.pi * alpha
@@ -193,9 +249,10 @@ def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
         return e2**2 / 4.0 * ((k0 - k0p) ** 2 / (k0 * k0p) + 4.0 * e.dot(ep) ** 2)
     from . import dirac, spinors
 
-    ops = _compton_vertex(k, e, kp, ep)
-    ops_rev = _compton_vertex(k, ep, kp, e)  # reversed factor order partner
+    s_k, s_e, s_kp, s_ep = _slashes(k, e, kp, ep)
+    ops = _compton_vertex(s_k, s_e, s_kp, s_ep, k.x0, kp.x0)
     if route == "trace":
+        ops_rev = _compton_vertex(s_k, s_ep, s_kp, s_e, k.x0, kp.x0)  # reversed factor order
         lam = dirac.slash(p) + 1j * dirac.I4
         lam_p = dirac.slash(pp) + 1j * dirac.I4
         val = dirac.spur(lam @ ops_rev @ lam_p @ ops)
@@ -254,11 +311,9 @@ def thomson_total_numeric(eps: float = 0.0) -> float:
 
 def annihilation_vertex(k: FourVector, e: FourVector,
                         kp: FourVector, ep: FourVector) -> np.ndarray:
-    """eslash k'slash e'slash + e'slash kslash eslash (rest-frame kinematics)."""
-    from . import dirac
-
-    return (dirac.slash(e) @ dirac.slash(kp) @ dirac.slash(ep)
-            + dirac.slash(ep) @ dirac.slash(k) @ dirac.slash(e))
+    """eslash k'slash e'slash + e'slash kslash eslash (rest-frame kinematics):
+    the Compton vertex with k0 = k0' = 1."""
+    return _compton_vertex(*_slashes(k, e, kp, ep), 1.0, 1.0)
 
 
 def annihilation_amplitude(u: np.ndarray, u_neg: np.ndarray,
@@ -293,7 +348,8 @@ def _rest_annihilation(parallel_polarizations: bool):
     rest = electron_at_rest()
     us = spinors.plane_wave_spinors(rest, +1)
     vs = spinors.plane_wave_spinors(rest, -1)
-    return lambda i, j: annihilation_amplitude(us[i], vs[j], e, ep, k, kp)
+    vertex = annihilation_vertex(k, e, kp, ep)
+    return lambda i, j: spinors.bar_sandwich(vs[j], vertex, us[i])
 
 
 def annihilation_singlet_amplitude(parallel_polarizations: bool = False) -> complex:

@@ -237,6 +237,15 @@ def test_closed_stdout_pipe_exits_two():
     assert err == b"error: cannot write the output: Broken pipe\n"
 
 
+def test_closed_stdout_fd_exits_two():
+    # with fd 1 closed at start-up, Python sets sys.stdout to None
+    res = subprocess.run(CLI + ["lamb", "--budget"], stderr=subprocess.PIPE,
+                         text=True, env=CLI_ENV, timeout=120,
+                         preexec_fn=lambda: os.close(1))
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write the output: Bad file descriptor\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_full_stdout_device_exits_two():
     with open("/dev/full", "w") as full:

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from qed51 import processes as pr
 from qed51 import spinors
 from qed51.errors import DomainError, NumericError, PoleError
-from qed51.kinematics import ElectronState, FourVector, electron_from_energy
+from qed51.dirac import I4, slash, spur
+from qed51.kinematics import (ElectronState, FourVector, electron_at_rest,
+                              electron_from_energy, moller_cm_angle, moller_cm_momenta,
+                              two_body_cross_section)
 
 ALPHA = 1.0 / 137.036
 
@@ -86,8 +89,71 @@ def test_moller_dcs_finite_positive_or_numeric_error(gamma, theta):
     assert math.isfinite(val) and val > 0.0
 
 
+def _moller_dcs_per_configuration(gamma, theta):
+    # the spin sum as one moller_amplitude call per configuration
+    x = moller_cm_angle(gamma, theta)
+    p1, p2, p1p, p2p = moller_cm_momenta(gamma, x)
+    legs = [spinors.plane_wave_spinors(ElectronState(p), +1) for p in (p1, p2, p1p, p2p)]
+    total = 0.0
+    for u1 in legs[0]:
+        for u2 in legs[1]:
+            for u1p in legs[2]:
+                for u2p in legs[3]:
+                    k = pr.moller_amplitude(p1, u1, p2, u2, p1p, u1p, p2p, u2p, ALPHA)
+                    total += abs(k) ** 2
+    sigma_density = two_body_cross_section(math.sqrt(total / 4.0), p1, p2, p1p, p2p)
+    return sigma_density * p1.x3**2 * abs(x) / ALPHA**2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1.01, 50.0), st.floats(0.01, math.pi / 2 - 0.01))
+def test_moller_brute_equals_per_configuration_sum(gamma, theta):
+    assert pr.moller_dcs_brute(gamma, theta, ALPHA) == _moller_dcs_per_configuration(gamma, theta)
+
+
+def test_moller_brute_zero_momentum_transfer_raises(recwarn):
+    # theta* rounds to pi: p2' = p1, so the exchange transfer is 0
+    with pytest.raises(NumericError, match="momentum transfer"):
+        pr.moller_dcs_brute(1.2, math.pi / 2 - 1e-8, ALPHA)
+    assert len(recwarn) == 0
+
+
 # ---------------------------------------------------------------------------
 # Compton / Klein-Nishina.
+
+def _old_compton_vertex(k, e, kp, ep):
+    return (slash(e) @ slash(kp) @ slash(ep) / kp.x0
+            + slash(ep) @ slash(k) @ slash(e) / k.x0)
+
+
+def _kn_spin_summed_ksq_per_route(eps, theta, e, ep, route):
+    # each slash taken where it is used, and the reversed vertex built for
+    # both routes
+    p, k, kp, pp = pr.compton_geometry(eps, theta)
+    e2 = 4.0 * math.pi * ALPHA
+    ops = _old_compton_vertex(k, e, kp, ep)
+    ops_rev = _old_compton_vertex(k, ep, kp, e)
+    if route == "trace":
+        lam = slash(p) + 1j * I4
+        lam_p = slash(pp) + 1j * I4
+        return (e2**2 / 32.0) * spur(lam @ ops_rev @ lam_p @ ops).real
+    total = 0.0
+    for u in spinors.plane_wave_spinors(electron_at_rest(), +1):
+        for up in spinors.plane_wave_spinors(ElectronState(pp), +1):
+            total += abs(spinors.bar_sandwich(up, ops, u)) ** 2
+    return (e2 / 2.0) ** 2 * total / 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, 100.0), st.floats(0.05, math.pi), st.floats(0.0, math.pi),
+       st.sampled_from([(1, 0, 0, 0), (0, 1, 0, 0)]), st.sampled_from(["trace", "spinors"]))
+def test_kn_routes_equal_per_route_formulation(eps, theta, phi, incident, route):
+    # e' = cos(phi) e'_in + sin(phi) e'_perp
+    e_in, _ = pr.scattered_polarization_basis(theta)
+    ep = FourVector(math.cos(phi) * e_in.x1, math.sin(phi), math.cos(phi) * e_in.x3, 0.0)
+    e = FourVector(*incident)
+    assert (pr.kn_spin_summed_ksq(eps, theta, e, ep, ALPHA, route)
+            == _kn_spin_summed_ksq_per_route(eps, theta, e, ep, route))
 
 def test_kn_spin_sum_three_routes_at_spec_point():
     th = math.pi / 3
@@ -197,6 +263,28 @@ def test_annihilation_parallel_polarizations_vanish():
     for u in spinors.plane_wave_spinors(rest, +1):
         for v in spinors.plane_wave_spinors(rest, -1):
             assert abs(pr.annihilation_amplitude(u, v, e, e, k, kp)) < 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16))
+def test_annihilation_vertex_is_compton_vertex_over_one(xs):
+    k, e, kp, ep = (FourVector(*xs[i:i + 4]) for i in range(0, 16, 4))
+    expect = slash(e) @ slash(kp) @ slash(ep) + slash(ep) @ slash(k) @ slash(e)
+    assert pr.annihilation_vertex(k, e, kp, ep).tobytes() == expect.tobytes()
+
+
+def test_annihilation_amplitudes_from_one_vertex():
+    k, kp, e, ep = pr.rest_annihilation_photons()
+    rest = electron_at_rest()
+    us = spinors.plane_wave_spinors(rest, +1)
+    vs = spinors.plane_wave_spinors(rest, -1)
+
+    def a(i, j):
+        return pr.annihilation_amplitude(us[i], vs[j], e, ep, k, kp)
+
+    assert pr.annihilation_singlet_amplitude() == (a(0, 0) + a(1, 1)) / math.sqrt(2.0)
+    assert pr.annihilation_triplet_amplitudes() == (
+        a(0, 1), (a(0, 0) - a(1, 1)) / math.sqrt(2.0), a(1, 0))
 
 
 def test_annihilation_singlet_magnitude():
@@ -486,7 +574,7 @@ def test_bhabha_amplitude_channels():
         direct += (spinors.adjoint(u_out) @ g @ u_in) * (spinors.adjoint(v_in) @ g @ v_out)
         exch += (spinors.adjoint(v_in) @ g @ u_in) * (spinors.adjoint(u_out) @ g @ v_out)
     expect = -1j * e2 * (direct / t_den - exch / s_den)
-    assert abs(amp - expect) < 1e-12 * max(1.0, abs(amp))
+    assert amp == expect
     # the annihilation channel carries the timelike total-momentum invariant
     assert s_den < -4.0 + 1e-12
 
