@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import itertools
 import json
 import math
 import os
@@ -31,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def print_help(self, file=None):
+        # argparse drops a failed write of the help text; write it as emit
+        # writes a table, so that main reports the failure and exits 2
+        stream = file or _stdout()
+        stream.write(self.format_help())
+        stream.flush()
 
 
 class Table:
@@ -48,20 +56,24 @@ def _fmt_text(value):
 
 
 def _check_finite(table: Table) -> None:
-    cells = [c for row in table.rows for c in row] + list(table.meta.values())
-    for value in cells:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise NumericError(f"non-finite value {value!r} in the output")
+    for cells in itertools.chain(table.rows, [table.meta.values()]):
+        for value in cells:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericError(f"non-finite value {value!r} in the output")
+
+
+def _stdout():
+    if sys.stdout is None:
+        # fd 1 was closed at start-up, so Python set sys.stdout to None
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
 
 
 def emit(table: Table, config: RunConfig, stream=None) -> None:
     """Write the table as csv, json or text; raises NumericError, before
     writing anything, if a float cell or meta value is nan or infinite."""
     _check_finite(table)
-    stream = stream or sys.stdout
-    if stream is None:
-        # fd 1 was closed at start-up, so Python set sys.stdout to None
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    stream = stream or _stdout()
     if config.output_format == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(table.columns)
@@ -235,19 +247,18 @@ def cmd_o16(args, config: RunConfig) -> Table:
 
     delta_e = _strip_unit(args.deltaE, "mev")
     r0 = _strip_unit(args.r0, "cm")
+    if args.spectrum:
+        # the shape depends on dE alone, so Z and r0 are read but unused
+        de_nat = delta_e / O16_MC2_MEV
+        grid = _linspace(0.0, de_nat, 13)[1:-1]
+        rows = [[e1, processes.o16_pair_spectrum(e1, math.pi / 3.0, de_nat)] for e1 in grid]
+        return Table("Pair spectrum shape at theta = 60 deg (E1 in mc^2, unnormalized)",
+                     ["E1", "w"], rows, meta={"deltaE_mc2": de_nat})
     rows = [["lifetime (rounded chain)", processes.o16_lifetime(delta_e, r0, args.Z, "rounded"), "s"],
             ["lifetime (exact inputs)", processes.o16_lifetime(delta_e, r0, args.Z, "exact"), "s"],
             ["total rate", processes.o16_total_rate(delta_e, r0, args.Z), "1/s"]]
-    table = Table(f"Monopole pair emission (dE = {delta_e} MeV, r0 = {r0} cm, Z = {args.Z})",
-                  ["quantity", "value", "unit"], rows)
-    if args.spectrum:
-        de_nat = delta_e / O16_MC2_MEV
-        grid = _linspace(0.0, de_nat, 13)[1:-1]
-        spec_rows = [[e1, processes.o16_pair_spectrum(e1, math.pi / 3.0, de_nat)]
-                     for e1 in grid]
-        table = Table("Pair spectrum shape at theta = 60 deg (E1 in mc^2, unnormalized)",
-                      ["E1", "w"], spec_rows, meta={"deltaE_mc2": de_nat})
-    return table
+    return Table(f"Monopole pair emission (dE = {delta_e} MeV, r0 = {r0} cm, Z = {args.Z})",
+                 ["quantity", "value", "unit"], rows)
 
 
 def cmd_vacpol(args, config: RunConfig) -> Table:
@@ -517,8 +528,8 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         constants = getattr(args, "constants", None)
         profile = get_profile(constants) if constants else None
         config = RunConfig(output_format=getattr(args, "format", "text"),

@@ -299,10 +299,11 @@ def thomson_total() -> float:
     return 8.0 * math.pi / 3.0
 
 
-def thomson_total_numeric(eps: float = 0.0) -> float:
-    """Numeric solid-angle integral of the unpolarized Klein-Nishina value."""
+def thomson_total_numeric() -> float:
+    """Numeric solid-angle integral of the unpolarized Klein-Nishina value
+    at eps = 0, the Thomson limit."""
     return numerics.quad(
-        lambda th: kn_dcs(eps, th, unpolarized=True) * math.sin(th) * TWO_PI,
+        lambda th: kn_dcs(0.0, th, unpolarized=True) * math.sin(th) * TWO_PI,
         0.0, math.pi, tol=1e-8, what="Thomson solid-angle integral", limit=200)
 
 
@@ -432,29 +433,32 @@ def mott_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> floa
     """Mott cross section (E/2pi)^2 (1 - beta^2 sin^2(theta/2)) |V(q)|^2,
     r0^2 per steradian.  alpha cancels against r0^2 = alpha^2: |V(q)|/alpha
     = 4 pi Z/q^2 is formed directly, so the value does not depend on it."""
+    return _coulomb_dcs(energy, theta, z_charge, "Mott", spin=True)
+
+
+def rutherford_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
+    """Spinless beta -> 0 shape, for limit checks: mott_dcs with the spin
+    factor set to 1 (r0^2 per steradian; alpha cancels as in mott_dcs)."""
+    return _coulomb_dcs(energy, theta, z_charge, "Rutherford", spin=False)
+
+
+def _coulomb_dcs(energy: float, theta: float, z_charge: float, name: str,
+                 spin: bool) -> float:
     _check_coulomb_domain(energy, theta)
     pmag = math.sqrt(energy**2 - 1.0)
     beta2 = (pmag / energy) ** 2
     q = 2.0 * pmag * math.sin(theta / 2.0)
     if q == 0.0:
-        raise NumericError(f"Mott cross section overflows: q rounds to 0 at theta = {theta!r}")
+        raise NumericError(f"{name} cross section overflows: q rounds to 0 at theta = {theta!r}")
     vq = coulomb_formfactor(q, z_charge, 1.0)
+    spin_factor = 1.0 - beta2 * math.sin(theta / 2.0) ** 2 if spin else 1.0
     try:
-        sigma = (energy / TWO_PI) ** 2 * (1.0 - beta2 * math.sin(theta / 2.0) ** 2) * vq**2
+        sigma = (energy / TWO_PI) ** 2 * spin_factor * vq**2
     except OverflowError:
         sigma = math.inf
     if math.isinf(sigma):
-        raise NumericError(f"Mott cross section overflows at theta = {theta!r}")
+        raise NumericError(f"{name} cross section overflows at theta = {theta!r}")
     return sigma
-
-
-def rutherford_dcs(energy: float, theta: float, z_charge: float, alpha: float) -> float:
-    """Spinless beta -> 0 shape, for limit checks (r0^2 per steradian; alpha
-    cancels as in mott_dcs)."""
-    _check_coulomb_domain(energy, theta)
-    pmag = math.sqrt(energy**2 - 1.0)
-    q = 2.0 * pmag * math.sin(theta / 2.0)
-    return (energy / TWO_PI) ** 2 * coulomb_formfactor(q, z_charge, 1.0) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +522,7 @@ def o16_pair_spectrum(e1: float, theta: float, delta_e: float) -> float:
     """Unnormalized differential rate shape E1^2 E2^2 (1 + cos theta) sin
     theta with E2 = delta_e - E1 (extreme-relativistic)."""
     if delta_e <= 2.0:
-        raise DomainError("excitation below the 2 mc^2 pair threshold")
+        raise DomainError("excitation below the pair threshold")
     if not 0.0 <= e1 <= delta_e:
         raise DomainError("electron energy outside [0, delta_e]")
     e2 = delta_e - e1
@@ -559,7 +563,8 @@ def o16_lifetime(delta_e_mev: float = 6.0, r0_cm: float = 4e-13,
                  z_charge: float = 8.0, mode: str = "rounded") -> float:
     """Lifetime in seconds.  mode="rounded" follows the rounded order-of-
     magnitude chain
-    (Z e^2/hbar c ~ 1/17, dE r0/hbar c ~ 1/10, tau = 10^10 r0/c);
+    (Z e^2/hbar c ~ 1/17, dE r0/hbar c ~ 1/10, tau = 10^10 r0/c), so it
+    depends on r0_cm only and ignores delta_e_mev and z_charge;
     mode="exact" inverts the closed-form rate."""
     if mode == "rounded":
         return 15.0 * 25.0 * math.pi * 1e5 * 17.0**2 * 0.25 * (r0_cm / C_CM_S)

@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from .kinematics import FourVector
 
 QUAD_TOL = 1e-10
+PV_HALF_WIDTH = 1e-6   # principal_value's excision half-width around the pole
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,7 @@ def divergent_photon_integral() -> CutoffQuantity:
     return CutoffQuantity(finite=0.0, log_coeff=2j * math.pi**2, cutoff="k_max")
 
 
-def principal_value(f, a: float, b: float, pole: float,
-                    half_width: float = 1e-6) -> float:
+def principal_value(f, a: float, b: float, pole: float) -> float:
     """Cauchy principal value of int_a^b f by symmetric excision around the
     pole, with a Richardson consistency check at half the excision width."""
     if not a < pole < b:
@@ -203,8 +203,8 @@ def principal_value(f, a: float, b: float, pole: float,
         return (numerics.quad(f, a, pole - h, tol=1e-7, what=what, limit=400)
                 + numerics.quad(f, pole + h, b, tol=1e-7, what=what, limit=400))
 
-    v1 = excised(half_width)
-    v2 = excised(half_width / 2.0)
+    v1 = excised(PV_HALF_WIDTH)
+    v2 = excised(PV_HALF_WIDTH / 2.0)
     if abs(v2 - v1) > 1e-5 * max(1.0, abs(v2)):
         raise NumericError("principal value did not stabilize under excision refinement")
     return v2

@@ -3,10 +3,11 @@ parts, the Uehling shift, electron self-energy and mass-renormalization
 bookkeeping, second-order corrections to scattering, the anomalous magnetic
 moment, infrared cancellation, and the full Lamb-shift budget.
 
-Divergent constants are never floats: they live in CutoffQuantity (labels
-k_max, r_IR, dE_det) or cancel structurally.  Momentum arguments are in
-units of the electron mass; frequencies come out in megacycles through the
-constants profile.
+Ultraviolet-divergent constants are never floats: they live in
+CutoffQuantity (label k_max, the only one built) or cancel structurally.
+The infrared cutoff r and the detector resolution dE are explicit positive
+float arguments.  Momentum arguments are in units of the electron mass;
+frequencies come out in megacycles through the constants profile.
 """
 
 from __future__ import annotations

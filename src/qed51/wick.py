@@ -5,9 +5,10 @@ sign bookkeeping, and process classification by external lines.
 Every pairing is one fermion option (a set of psi_bar-psi pairs) combined
 with one photon matching, and its sign depends on the fermion option alone.
 ``enumerate_pairings`` therefore enumerates the two factors by brute force
-and returns a read-only ``PairingSequence`` over their Cartesian product,
-fermion-major; a ``Pairing`` is built only when an item is read, so counting
-the pairings costs no more than enumerating the two factors.
+and returns a ``PairingSequence``, a sized iterable over their Cartesian
+product, fermion-major; a ``Pairing`` is built only when the iteration
+reaches it, so counting the pairings costs no more than enumerating the two
+factors.
 
 The fermion options come from a depth-first search that gives each chosen
 psi_bar a psi in ascending order, skipping used psis and psis at its own
@@ -23,8 +24,6 @@ the momentum-space factor it would contribute as metadata.
 from __future__ import annotations
 
 import itertools
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -137,11 +136,10 @@ def _pair_bars(candidates, k, prefix, free, sign, options, signs):
                        options, signs)
 
 
-class PairingSequence(Sequence):
-    """Read-only sequence of ``(Pairing, sign)``: every fermion option
-    combined with every photon matching, fermion-major (item ``i`` is
-    fermion option ``i // len(photons)`` with photon matching
-    ``i % len(photons)``).  Each ``Pairing`` is built when it is read."""
+class PairingSequence:
+    """Sized, re-iterable view of ``(Pairing, sign)``: every fermion option
+    combined with every photon matching, fermion-major.  Each ``Pairing``
+    is built when the iteration reaches it."""
 
     __slots__ = ("_fermions", "_signs", "_photons")
 
@@ -153,17 +151,6 @@ class PairingSequence(Sequence):
     def __len__(self):
         return len(self._fermions) * len(self._photons)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("pairing index out of range")
-        f, p = divmod(i, len(self._photons))
-        return Pairing(self._fermions[f], self._photons[p]), self._signs[f]
-
     def __iter__(self):
         for fpairs, sign in zip(self._fermions, self._signs):
             for ppairs in self._photons:
@@ -172,12 +159,12 @@ class PairingSequence(Sequence):
 
 def enumerate_pairings(prod: OperatorProduct) -> PairingSequence:
     """All factor-pairings of the product (empty pairing included), each with
-    its fermion-permutation sign, as a lazy ``PairingSequence`` in
-    fermion-major order: every photon matching of the first fermion option,
-    then of the next.  Pairs join one psi_bar with one psi (stored as
-    ``(psi_bar_index, psi_index)``) or two photon factors; factors at the
-    same vertex are never paired (rule 7); external-potential factors are
-    classical and never pair."""
+    its fermion-permutation sign, as a lazy ``PairingSequence`` (a sized
+    iterable) in fermion-major order: every photon matching of the first
+    fermion option, then of the next.  Pairs join one psi_bar with one psi
+    (stored as ``(psi_bar_index, psi_index)``) or two photon factors;
+    factors at the same vertex are never paired (rule 7); external-potential
+    factors are classical and never pair."""
     bars = [i for i, f in enumerate(prod.factors) if f.kind == PSI_BAR]
     psis = [i for i, f in enumerate(prod.factors) if f.kind == PSI]
     photons = [i for i, f in enumerate(prod.factors) if f.kind == PHOTON]

@@ -256,6 +256,24 @@ def test_full_stdout_device_exits_two():
     assert res.stderr == "error: cannot write the output: No space left on device\n"
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["xsec", "--help"]])
+def test_help_to_a_closed_stdout_fd_exits_two(argv):
+    res = subprocess.run(CLI + argv, stderr=subprocess.PIPE, text=True, env=CLI_ENV,
+                         timeout=120, preexec_fn=lambda: os.close(1))
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write the output: Bad file descriptor\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["xsec", "--help"]])
+def test_help_to_a_full_stdout_device_exits_two(argv):
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(CLI + argv, stdout=full, stderr=subprocess.PIPE,
+                             text=True, env=CLI_ENV, timeout=120)
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write the output: No space left on device\n"
+
+
 def test_wick_count_second_order():
     code, out = run(["wick", "count", "--product", "second-order-potential",
                      "--format", "csv"])
@@ -338,6 +356,16 @@ def test_o16_unit_suffix_parsing():
     assert code == 0
     rows = {r[0]: r[1] for r in csv.reader(io.StringIO(out))}
     assert abs(float(rows["lifetime (rounded chain)"]) / 1.136e-13 - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("extra", [["--Z", "0"], ["--r0", "0cm"]])
+def test_o16_spectrum_depends_on_delta_e_alone(extra):
+    # Z = 0 or r0 = 0 makes the lifetime infinite, but the spectrum shape
+    # does not depend on either
+    code, out = run(["o16", "--spectrum", "--format", "csv"] + extra)
+    assert code == 0
+    assert out == run(["o16", "--spectrum", "--format", "csv"])[1]
+    assert out.startswith("E1,w\n") and len(out.splitlines()) == 12
 
 
 def test_lamb_eav_ry_suffix():

@@ -372,6 +372,15 @@ def test_mott_dcs_finite_positive_or_numeric_error(energy, theta):
     assert math.isfinite(val) and val > 0.0
 
 
+@pytest.mark.parametrize("energy, theta", [(1.5, 1e-160),
+                                           (2.879959149498619, 1.105074068495288e-106)])
+def test_rutherford_overflow_is_a_numeric_error_as_for_mott(energy, theta):
+    # |V(q)| overflows to inf at the first point; squaring it overflows at the second
+    for dcs in (pr.mott_dcs, pr.rutherford_dcs):
+        with pytest.raises(NumericError, match="cross section overflows"):
+            dcs(energy, theta, 1.0, ALPHA)
+
+
 def test_coulomb_formfactor():
     assert abs(pr.coulomb_formfactor(2.0, 3.0, ALPHA)
                - 4 * math.pi * 3.0 * ALPHA / 4.0) < 1e-15
