@@ -442,7 +442,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(group, name, **kw):
-        return group.add_parser(name, parents=[common], conflict_handler="resolve", **kw)
+        return group.add_parser(name, parents=[common], **kw)
 
     xsec = add(sub, "xsec", help="differential cross sections")
     xsub = xsec.add_subparsers(dest="process", required=True)

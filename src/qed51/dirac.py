@@ -224,8 +224,11 @@ class CheckReport:
         return all(dev < TOL_TABLE for _, dev in self.entries)
 
 
-def _check_common(rep: CheckReport, m: dict) -> None:
+def _check_common(rep: CheckReport, m: dict, e: str, h: str, t: int) -> None:
+    """The lines both tables state; e and h name the convention's epsilon and
+    eta (Feynman's rho1 and rho2), and t indexes its time gamma (4 or 0)."""
     O4 = np.zeros((4, 4), dtype=complex)
+    g5, eps, eta, beta = m["gamma5"], m[e], m[h], m["beta"]
     for k in range(1, 4):
         for l in range(1, 4):
             ak, al = m[f"alpha{k}"], m[f"alpha{l}"]
@@ -234,11 +237,13 @@ def _check_common(rep: CheckReport, m: dict) -> None:
             sk, sl = m[f"sigma{k}"], m[f"sigma{l}"]
             rep.add(f"sigma{k} sigma{l} + sigma{l} sigma{k} = 2 delta",
                     sk @ sl + sl @ sk, 2.0 * (k == l))
+            rep.add(f"alpha{k} sigma{l} + sigma{l} alpha{k} = 2 delta {e}",
+                    ak @ sl + sl @ ak, 2.0 * (k == l) * eps)
         rep.add(f"alpha{k} beta + beta alpha{k} = 0",
-                m[f"alpha{k}"] @ m["beta"] + m["beta"] @ m[f"alpha{k}"], O4)
+                m[f"alpha{k}"] @ beta + beta @ m[f"alpha{k}"], O4)
         rep.add(f"beta sigma{k} - sigma{k} beta = 0",
-                m["beta"] @ m[f"sigma{k}"] - m[f"sigma{k}"] @ m["beta"], O4)
-    rep.add("beta^2 = I", m["beta"] @ m["beta"], I4)
+                beta @ m[f"sigma{k}"] - m[f"sigma{k}"] @ beta, O4)
+    rep.add("beta^2 = I", beta @ beta, I4)
     for k, l, mm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         rep.add(f"sigma{k} sigma{l} = i sigma{mm}",
                 m[f"sigma{k}"] @ m[f"sigma{l}"], 1j * m[f"sigma{mm}"])
@@ -248,10 +253,42 @@ def _check_common(rep: CheckReport, m: dict) -> None:
                 m[f"alpha{k}"] @ m[f"sigma{l}"], 1j * m[f"alpha{mm}"])
         rep.add(f"sigma{k} gamma{l} = i gamma{mm}",
                 m[f"sigma{k}"] @ m[f"gamma{l}"], 1j * m[f"gamma{mm}"])
+    rep.add(f"gamma{t} = beta", m[f"gamma{t}"], beta)
+    for mu in (1, 2, 3, t):
+        rep.add(f"gamma{mu} gamma5 + gamma5 gamma{mu} = 0",
+                m[f"gamma{mu}"] @ g5 + g5 @ m[f"gamma{mu}"], O4)
+        rep.add(f"gamma{mu} {e} + {e} gamma{mu} = 0",
+                m[f"gamma{mu}"] @ eps + eps @ m[f"gamma{mu}"], O4)
+    rep.add(f"{e} = -i alpha1 alpha2 alpha3",
+            eps, -1j * m["alpha1"] @ m["alpha2"] @ m["alpha3"])
+    rep.add(f"{e}^2 = I", eps @ eps, I4)
+    rep.add(f"{h}^2 = I", eta @ eta, I4)
+    rep.add(f"{h} = i {e} beta", eta, 1j * eps @ beta)
+    rep.add(f"{e} = -i {h} beta", eps, -1j * eta @ beta)
+    # Dyson's table prints "eta = -alpha1 alpha2 alpha3" and Feynman's
+    # "rho2 = -alpha1 alpha2 alpha3 beta"; the explicit matrices give
+    # alpha1 alpha2 alpha3 beta (corrected).
+    rep.add(f"{h} = alpha1 alpha2 alpha3 beta (corrected)",
+            eta, m["alpha1"] @ m["alpha2"] @ m["alpha3"] @ beta)
+    for k in range(1, 4):
+        rep.add(f"sigma{k} = {e} alpha{k}", m[f"sigma{k}"], eps @ m[f"alpha{k}"])
+        rep.add(f"alpha{k} = {e} sigma{k}", m[f"alpha{k}"], eps @ m[f"sigma{k}"])
+        rep.add(f"alpha{k} {e} - {e} alpha{k} = 0",
+                m[f"alpha{k}"] @ eps - eps @ m[f"alpha{k}"], O4)
+        rep.add(f"sigma{k} {e} - {e} sigma{k} = 0",
+                m[f"sigma{k}"] @ eps - eps @ m[f"sigma{k}"], O4)
+        rep.add(f"alpha{k} gamma5 - gamma5 alpha{k} = 0",
+                m[f"alpha{k}"] @ g5 - g5 @ m[f"alpha{k}"], O4)
+        rep.add(f"alpha{k} {h} + {h} alpha{k} = 0",
+                m[f"alpha{k}"] @ eta + eta @ m[f"alpha{k}"], O4)
+        rep.add(f"gamma{k} {h} - {h} gamma{k} = 0",
+                m[f"gamma{k}"] @ eta - eta @ m[f"gamma{k}"], O4)
+        rep.add(f"sigma{k} {h} - {h} sigma{k} = 0",
+                m[f"sigma{k}"] @ eta - eta @ m[f"sigma{k}"], O4)
+    rep.add(f"beta {h} + {h} beta = 0", beta @ eta + eta @ beta, O4)
 
 
 def _check_dyson(rep: CheckReport, m: dict) -> None:
-    O4 = np.zeros((4, 4), dtype=complex)
     g5, eps, eta, beta = m["gamma5"], m["epsilon"], m["eta"], m["beta"]
     idx = (1, 2, 3, 4)
     for k in range(1, 4):
@@ -268,51 +305,18 @@ def _check_dyson(rep: CheckReport, m: dict) -> None:
             rep.add(f"gamma{k} sigma{l} + sigma{l} gamma{k} = 2 delta eta",
                     m[f"gamma{k}"] @ m[f"sigma{l}"] + m[f"sigma{l}"] @ m[f"gamma{k}"],
                     2.0 * (k == l) * eta)
-            rep.add(f"alpha{k} sigma{l} + sigma{l} alpha{k} = 2 delta epsilon",
-                    m[f"alpha{k}"] @ m[f"sigma{l}"] + m[f"sigma{l}"] @ m[f"alpha{k}"],
-                    2.0 * (k == l) * eps)
-    rep.add("gamma4 = beta", m["gamma4"], beta)
     for mu in idx:
         for nu in idx:
             rep.add(f"gamma{mu} gamma{nu} + gamma{nu} gamma{mu} = 2 delta",
                     m[f"gamma{mu}"] @ m[f"gamma{nu}"] + m[f"gamma{nu}"] @ m[f"gamma{mu}"],
                     2.0 * (mu == nu))
-        rep.add(f"gamma{mu} gamma5 + gamma5 gamma{mu} = 0",
-                m[f"gamma{mu}"] @ g5 + g5 @ m[f"gamma{mu}"], O4)
-        rep.add(f"gamma{mu} epsilon + epsilon gamma{mu} = 0",
-                m[f"gamma{mu}"] @ eps + eps @ m[f"gamma{mu}"], O4)
     rep.add("gamma5 = gamma1 gamma2 gamma3 gamma4",
             g5, m["gamma1"] @ m["gamma2"] @ m["gamma3"] @ m["gamma4"])
     rep.add("gamma5^2 = I", g5 @ g5, I4)
     rep.add("gamma5 = -epsilon", g5, -eps)
-    rep.add("epsilon = -i alpha1 alpha2 alpha3",
-            eps, -1j * m["alpha1"] @ m["alpha2"] @ m["alpha3"])
-    rep.add("epsilon^2 = I", eps @ eps, I4)
-    rep.add("eta^2 = I", eta @ eta, I4)
-    rep.add("eta = i epsilon beta", eta, 1j * eps @ beta)
-    rep.add("epsilon = -i eta beta", eps, -1j * eta @ beta)
-    # The table prints "eta = -alpha1 alpha2 alpha3"; the explicit matrices
-    # give eta = alpha1 alpha2 alpha3 beta (corrected).
-    rep.add("eta = alpha1 alpha2 alpha3 beta (corrected)",
-            eta, m["alpha1"] @ m["alpha2"] @ m["alpha3"] @ beta)
     for k in range(1, 4):
-        rep.add(f"sigma{k} = epsilon alpha{k}", m[f"sigma{k}"], eps @ m[f"alpha{k}"])
-        rep.add(f"alpha{k} = epsilon sigma{k}", m[f"alpha{k}"], eps @ m[f"sigma{k}"])
         rep.add(f"sigma{k} = eta gamma{k}", m[f"sigma{k}"], eta @ m[f"gamma{k}"])
         rep.add(f"gamma{k} = eta sigma{k}", m[f"gamma{k}"], eta @ m[f"sigma{k}"])
-        rep.add(f"alpha{k} epsilon - epsilon alpha{k} = 0",
-                m[f"alpha{k}"] @ eps - eps @ m[f"alpha{k}"], O4)
-        rep.add(f"sigma{k} epsilon - epsilon sigma{k} = 0",
-                m[f"sigma{k}"] @ eps - eps @ m[f"sigma{k}"], O4)
-        rep.add(f"alpha{k} gamma5 - gamma5 alpha{k} = 0",
-                m[f"alpha{k}"] @ g5 - g5 @ m[f"alpha{k}"], O4)
-        rep.add(f"alpha{k} eta + eta alpha{k} = 0",
-                m[f"alpha{k}"] @ eta + eta @ m[f"alpha{k}"], O4)
-        rep.add(f"gamma{k} eta - eta gamma{k} = 0",
-                m[f"gamma{k}"] @ eta - eta @ m[f"gamma{k}"], O4)
-        rep.add(f"sigma{k} eta - eta sigma{k} = 0",
-                m[f"sigma{k}"] @ eta - eta @ m[f"sigma{k}"], O4)
-    rep.add("beta eta + eta beta = 0", beta @ eta + eta @ beta, O4)
     for k, l, mm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         rep.add(f"gamma{k} gamma{l} = i sigma{mm}",
                 m[f"gamma{k}"] @ m[f"gamma{l}"], 1j * m[f"sigma{mm}"])
@@ -325,7 +329,6 @@ def _check_dyson(rep: CheckReport, m: dict) -> None:
 
 
 def _check_feynman(rep: CheckReport, m: dict) -> None:
-    O4 = np.zeros((4, 4), dtype=complex)
     g5, r1, r2, beta = m["gamma5"], m["rho1"], m["rho2"], m["beta"]
     g = {0: 1.0, 1: -1.0, 2: -1.0, 3: -1.0}
     for k in range(1, 4):
@@ -341,53 +344,20 @@ def _check_feynman(rep: CheckReport, m: dict) -> None:
             rep.add(f"gamma{k} sigma{l} + sigma{l} gamma{k} = 2i delta rho2 (corrected)",
                     m[f"gamma{k}"] @ m[f"sigma{l}"] + m[f"sigma{l}"] @ m[f"gamma{k}"],
                     2j * (k == l) * r2)
-            rep.add(f"alpha{k} sigma{l} + sigma{l} alpha{k} = 2 delta rho1",
-                    m[f"alpha{k}"] @ m[f"sigma{l}"] + m[f"sigma{l}"] @ m[f"alpha{k}"],
-                    2.0 * (k == l) * r1)
-    rep.add("gamma0 = beta", m["gamma0"], beta)
     for mu in range(4):
         for nu in range(4):
             rep.add(f"gamma{mu} gamma{nu} + gamma{nu} gamma{mu} = 2 g_mu_nu",
                     m[f"gamma{mu}"] @ m[f"gamma{nu}"] + m[f"gamma{nu}"] @ m[f"gamma{mu}"],
                     2.0 * g[mu] * (mu == nu))
-        rep.add(f"gamma{mu} gamma5 + gamma5 gamma{mu} = 0",
-                m[f"gamma{mu}"] @ g5 + g5 @ m[f"gamma{mu}"], O4)
-        rep.add(f"gamma{mu} rho1 + rho1 gamma{mu} = 0",
-                m[f"gamma{mu}"] @ r1 + r1 @ m[f"gamma{mu}"], O4)
     # Table prints gamma5 = i g0 g1 g2 g3 = rho1 alongside gamma5^2 = -I;
     # only gamma5 = g0 g1 g2 g3 (hence rho1 = i gamma5) satisfies the square.
     rep.add("gamma5 = gamma0 gamma1 gamma2 gamma3 (corrected)",
             g5, m["gamma0"] @ m["gamma1"] @ m["gamma2"] @ m["gamma3"])
     rep.add("gamma5^2 = -I", g5 @ g5, -I4)
     rep.add("rho1 = i gamma5 (corrected)", r1, 1j * g5)
-    rep.add("rho1^2 = I", r1 @ r1, I4)
-    rep.add("rho2^2 = I", r2 @ r2, I4)
-    rep.add("rho2 = i rho1 beta", r2, 1j * r1 @ beta)
-    rep.add("rho1 = -i rho2 beta", r1, -1j * r2 @ beta)
-    rep.add("rho1 = -i alpha1 alpha2 alpha3",
-            r1, -1j * m["alpha1"] @ m["alpha2"] @ m["alpha3"])
-    # Table prints "rho2 = -alpha1 alpha2 alpha3 beta"; explicit matrices
-    # give the + sign.
-    rep.add("rho2 = alpha1 alpha2 alpha3 beta (corrected)",
-            r2, m["alpha1"] @ m["alpha2"] @ m["alpha3"] @ beta)
     for k in range(1, 4):
-        rep.add(f"sigma{k} = rho1 alpha{k}", m[f"sigma{k}"], r1 @ m[f"alpha{k}"])
-        rep.add(f"alpha{k} = rho1 sigma{k}", m[f"alpha{k}"], r1 @ m[f"sigma{k}"])
         rep.add(f"sigma{k} = -i rho2 gamma{k}", m[f"sigma{k}"], -1j * r2 @ m[f"gamma{k}"])
         rep.add(f"gamma{k} = i rho2 sigma{k}", m[f"gamma{k}"], 1j * r2 @ m[f"sigma{k}"])
-        rep.add(f"alpha{k} rho1 - rho1 alpha{k} = 0",
-                m[f"alpha{k}"] @ r1 - r1 @ m[f"alpha{k}"], O4)
-        rep.add(f"sigma{k} rho1 - rho1 sigma{k} = 0",
-                m[f"sigma{k}"] @ r1 - r1 @ m[f"sigma{k}"], O4)
-        rep.add(f"alpha{k} gamma5 - gamma5 alpha{k} = 0",
-                m[f"alpha{k}"] @ g5 - g5 @ m[f"alpha{k}"], O4)
-        rep.add(f"alpha{k} rho2 + rho2 alpha{k} = 0",
-                m[f"alpha{k}"] @ r2 + r2 @ m[f"alpha{k}"], O4)
-        rep.add(f"gamma{k} rho2 - rho2 gamma{k} = 0",
-                m[f"gamma{k}"] @ r2 - r2 @ m[f"gamma{k}"], O4)
-        rep.add(f"sigma{k} rho2 - rho2 sigma{k} = 0",
-                m[f"sigma{k}"] @ r2 - r2 @ m[f"sigma{k}"], O4)
-    rep.add("beta rho2 + rho2 beta = 0", beta @ r2 + r2 @ beta, O4)
     for k, l, mm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         rep.add(f"-gamma{k} gamma{l} = i sigma{mm}",
                 -m[f"gamma{k}"] @ m[f"gamma{l}"], 1j * m[f"sigma{mm}"])
@@ -404,9 +374,10 @@ def verify_identity_tables(conv: str = DYSON, matrices: dict | None = None) -> C
     conv = _normalize(conv)
     m = matrices if matrices is not None else _table(conv)
     rep = CheckReport(convention=conv)
-    _check_common(rep, m)
     if conv == DYSON:
+        _check_common(rep, m, "epsilon", "eta", 4)
         _check_dyson(rep, m)
     else:
+        _check_common(rep, m, "rho1", "rho2", 0)
         _check_feynman(rep, m)
     return rep

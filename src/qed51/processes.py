@@ -233,7 +233,8 @@ def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
                        alpha: float, route: str = "closed") -> float:
     """(1/2) sum over electron spins of |K|^2 for fixed photon polarizations.
 
-    route = "closed":   e^4/(4) {(k0-k0')^2/(k0 k0') + 4 (e.e')^2}
+    route = "closed":   e^4/(4) {(k0-k0')^2/(k0 k0') + 4 (e.e')^2}, with the
+                        bracket in the form kn_dcs uses (see _kn_bracket)
     route = "trace":    the projector-spur expression
     route = "spinors":  explicit sum over the four spinor pairs
 
@@ -245,8 +246,8 @@ def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
     p, k, kp, pp = compton_geometry(eps, theta)
     e2 = 4.0 * math.pi * alpha
     if route == "closed":
-        k0, k0p = k.x0, kp.x0
-        return e2**2 / 4.0 * ((k0 - k0p) ** 2 / (k0 * k0p) + 4.0 * e.dot(ep) ** 2)
+        ratio = 1.0 + eps * (1.0 - math.cos(theta))
+        return e2**2 / 4.0 * _kn_bracket(eps, theta, e.dot(ep), ratio)
     from . import dirac, spinors
 
     s_k, s_e, s_kp, s_ep = _slashes(k, e, kp, ep)
@@ -290,8 +291,13 @@ def kn_dcs(eps: float, theta: float, phi: float | None = None,
 
 
 def _kn_polarized(eps, theta, cos_phi, ratio):
-    num = (1.0 - math.cos(theta)) ** 2 * eps**2 / ratio + 4.0 * cos_phi**2
-    return 0.25 * num / ratio**2
+    return 0.25 * _kn_bracket(eps, theta, cos_phi, ratio) / ratio**2
+
+
+def _kn_bracket(eps, theta, cos_phi, ratio):
+    """(k0 - k0')^2/(k0 k0') + 4 (e.e')^2 with k0 = eps and k0' = eps/ratio,
+    written as eps^2 (1 - cos theta)^2/ratio so that k0 - k0' never cancels."""
+    return (1.0 - math.cos(theta)) ** 2 * eps**2 / ratio + 4.0 * cos_phi**2
 
 
 def thomson_total() -> float:

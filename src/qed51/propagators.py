@@ -154,30 +154,25 @@ def loop_log_difference_quadrature(lam: float, lam_prime: float) -> complex:
 
 @dataclass
 class CutoffQuantity:
-    """A value of the form finite + log_coeff * log(cutoff), kept symbolic.
+    """A value of the form finite + log_coeff * log(k_max), kept symbolic.
 
-    Addition combines like-labeled terms only; evaluation requires an
-    explicit cutoff value.  log_coeff may be complex (the divergent photon
-    integral carries 2 pi^2 i per unit log).
+    Evaluation requires an explicit cutoff value.  log_coeff may be complex
+    (the divergent photon integral carries 2 pi^2 i per unit log).
     """
 
     finite: complex
     log_coeff: complex
-    cutoff: str
 
     def __add__(self, other):
         if isinstance(other, CutoffQuantity):
-            if other.cutoff != self.cutoff:
-                raise DomainError(
-                    f"cannot add cutoff quantities with labels {self.cutoff!r} and {other.cutoff!r}")
             return CutoffQuantity(self.finite + other.finite,
-                                  self.log_coeff + other.log_coeff, self.cutoff)
-        return CutoffQuantity(self.finite + other, self.log_coeff, self.cutoff)
+                                  self.log_coeff + other.log_coeff)
+        return CutoffQuantity(self.finite + other, self.log_coeff)
 
     __radd__ = __add__
 
     def __mul__(self, c):
-        return CutoffQuantity(self.finite * c, self.log_coeff * c, self.cutoff)
+        return CutoffQuantity(self.finite * c, self.log_coeff * c)
 
     __rmul__ = __mul__
 
@@ -189,7 +184,7 @@ class CutoffQuantity:
 
 def divergent_photon_integral() -> CutoffQuantity:
     """int_C dk (k^2 + m^2)^-2 = 2 pi^2 i log(k_max/m), never a float."""
-    return CutoffQuantity(finite=0.0, log_coeff=2j * math.pi**2, cutoff="k_max")
+    return CutoffQuantity(finite=0.0, log_coeff=2j * math.pi**2)
 
 
 def principal_value(f, a: float, b: float, pole: float) -> float:

@@ -4,7 +4,7 @@ bookkeeping, second-order corrections to scattering, the anomalous magnetic
 moment, infrared cancellation, and the full Lamb-shift budget.
 
 Ultraviolet-divergent constants are never floats: they live in
-CutoffQuantity (label k_max, the only one built) or cancel structurally.
+CutoffQuantity (finite + log_coeff * log k_max) or cancel structurally.
 The infrared cutoff r and the detector resolution dE are explicit positive
 float arguments.  Momentum arguments are in units of the electron mass;
 frequencies come out in megacycles through the constants profile.
@@ -200,8 +200,7 @@ def uehling_shift(state: str, constants: Constants) -> float:
 def self_energy_constant() -> CutoffQuantity:
     """Sigma(p) = -6 pi^2 mu R' = -pi^2 mu (6R + 5) as a cutoff quantity
     (units mu = 1): log coefficient -6 pi^2, finite part -5 pi^2."""
-    return CutoffQuantity(finite=-5.0 * math.pi**2,
-                          log_coeff=-6.0 * math.pi**2, cutoff="k_max")
+    return CutoffQuantity(finite=-5.0 * math.pi**2, log_coeff=-6.0 * math.pi**2)
 
 
 def self_energy_z_integral(r_value: float) -> float:
@@ -221,7 +220,7 @@ def delta_m(alpha: float) -> CutoffQuantity:
     """Electromagnetic self-mass dm = (3 alpha / 2 pi) R' in units of m, kept
     symbolic: log coefficient 3 alpha/2 pi, finite part (3 alpha/2 pi)(5/6)."""
     coeff = 3.0 * alpha / (2.0 * math.pi)
-    return CutoffQuantity(finite=coeff * 5.0 / 6.0, log_coeff=coeff, cutoff="k_max")
+    return CutoffQuantity(finite=coeff * 5.0 / 6.0, log_coeff=coeff)
 
 
 # ---------------------------------------------------------------------------

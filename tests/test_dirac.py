@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,25 @@ def test_perturbed_gamma1_fails_table():
     rep = dirac.verify_identity_tables("dyson", matrices=m)
     assert not rep.passed
     assert np.isnan(rep.max_deviation)
+
+
+NAMED = [(conv, name) for conv in (dirac.DYSON, dirac.FEYNMAN)
+         for name in dirac.build_matrices(conv)]
+
+
+@pytest.mark.parametrize("conv, name", NAMED)
+def test_each_perturbed_matrix_fails_its_table(conv, name):
+    # the shared lines must read this convention's matrices, under its names
+    m = {k: v.copy() for k, v in dirac.build_matrices(conv).items()}
+    m[name][1, 2] += 1e-6
+    assert not dirac.verify_identity_tables(conv, matrices=m).passed
+
+
+def test_named_matrix_counts_and_distinct_labels():
+    assert Counter(conv for conv, _ in NAMED) == {dirac.DYSON: 17, dirac.FEYNMAN: 14}
+    for conv in (dirac.DYSON, dirac.FEYNMAN):
+        labels = [label for label, _ in dirac.verify_identity_tables(conv).entries]
+        assert len(set(labels)) == len(labels)
 
 
 def test_tables_are_built_once_and_read_only():

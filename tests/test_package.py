@@ -43,6 +43,44 @@ print("numpy" in sys.modules, abs(brute / pr.moller_dcs(2.0, 0.5, 1 / 137.036) -
     assert res.stdout.splitlines() == ["False True", "True True"]
 
 
+# Every subcommand but verify computes with math and Python ints: the cli
+# imports per handler, and processes loads dirac and spinors only inside the
+# amplitude oracles.
+SCALAR_ARGV = [
+    "vacpol --grid=-8:4:25 --format csv",
+    "moment --order 2",
+    "wick count --product current^5",
+    "wick graphs --product second-order-potential --dot graphs.dot",
+    "xsec compton --eps 1 --theta-grid 0:180:5 --format json",
+    "xsec moller --gamma 2 --theta-grid 10:50:5 --units SI",
+    "xsec mott --energy 1.5 --Z 79 --theta-grid 30:150:7",
+    "annihilate positronium",
+    "annihilate rate --rho 2 --v 0.01",
+    "o16 --spectrum",
+    "hydrogen levels --max-N 3 --expand --units MeV",
+    "hydrogen landau --B 0.1 --pz 0 --M 2",
+    "uehling --state 2s",
+    "lamb --budget",
+]
+
+
+def test_scalar_subcommands_load_no_numpy_or_scipy(tmp_path):
+    script = """
+import contextlib, io, sys
+from qed51.cli import main
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv.split())
+    print(code, bool(out.getvalue()), argv)
+print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
+"""
+    res = subprocess.run([sys.executable, "-c", script, *SCALAR_ARGV],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [f"0 True {argv}" for argv in SCALAR_ARGV] + ["[]"]
+
+
 def test_radiative_leaves_hydrogen_unloaded(tmp_path):
     # the spectroscopic letters live in qed51.constants, so lamb, uehling,
     # moment and vacpol need no hydrogen module

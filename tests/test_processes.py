@@ -179,9 +179,13 @@ def test_kn_spin_sum_grid():
                     assert abs(val / closed - 1.0) < 1e-8
 
 
-def test_kn_dcs_matches_spin_sum_assembly():
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(1e-6, 100.0), th=st.floats(1e-6, math.pi),
+       phi=st.one_of(st.just(math.pi / 2), st.floats(0.0, math.pi)))
+@example(eps=2.0, th=1.1, phi=0.6)
+@example(eps=1.0, th=1e-6, phi=math.pi / 2)  # k0 - k0' cancels in the long form
+def test_kn_dcs_matches_spin_sum_assembly(eps, th, phi):
     from qed51.kinematics import compton_shift
-    eps, th, phi = 2.0, 1.1, 0.6
     e = FourVector(0.0, 1.0, 0.0, 0.0)
     a, b = math.sin(phi), math.cos(phi)
     ep = FourVector(a * math.cos(th), b, -a * math.sin(th), 0.0)

@@ -208,7 +208,6 @@ def test_self_energy_z_integral_reproduces_closed_form():
 
 def test_self_energy_constant_structure():
     sigma = rad.self_energy_constant()
-    assert sigma.cutoff == "k_max"
     assert abs(sigma.log_coeff + 6.0 * math.pi**2) < 1e-12
     assert abs(sigma.finite + 5.0 * math.pi**2) < 1e-12
 
