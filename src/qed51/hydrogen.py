@@ -11,6 +11,7 @@ rejected.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,11 +70,33 @@ def fine_structure_expansion(big_n: int, k: int, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # Series solution machinery.
 
+# Cap on the terms _series_at adds; at the shooting match point every level
+# with N <= 4 and alpha in [1e-3, 0.099] converges within 21.
+SERIES_MAX_TERMS = 200
+_ROUNDING = 2.0**-53  # unit roundoff of a double
+
+
 def _rate_constants(energy: float):
     """a1 = 1 - E, a2 = 1 + E, a = sqrt(1 - E^2) for 0 < E < 1 (units mc^2)."""
     a1 = 1.0 - energy
     a2 = 1.0 + energy
     return a1, a2, math.sqrt(a1 * a2)
+
+
+def _series_terms(k: int, alpha: float, eps: float, a1: float, a: float):
+    """The printed two-term recursion: yield (c_s, d_s, e_s) for s = eps,
+    eps+1, ... without end, the coefficients of the regular radial solution
+    f = sum c_s r^s, g = sum d_s r^s, with e_s = a1 c_{s-1} - a d_{s-1}."""
+    c, d, e_s = eps + k, alpha, 0.0
+    i = 0
+    while True:
+        yield c, d, e_s
+        i += 1
+        s = eps + i
+        e_s = a1 * c - a * d
+        denom = a1 * (alpha**2 + s**2 - k**2)
+        c = (a1 * alpha + a * (s + k)) / denom * e_s
+        d = (a * alpha - a1 * (s - k)) / denom * e_s
 
 
 def series_coefficients(qn: DiracQuantumNumbers, alpha: float, energy: float,
@@ -84,20 +107,38 @@ def series_coefficients(qn: DiracQuantumNumbers, alpha: float, energy: float,
     import numpy as np
 
     check_alpha(alpha)
-    a1, a2, a = _rate_constants(energy)
-    k = qn.k
-    eps = math.sqrt(k**2 - alpha**2)
-    cs = [eps + k]
-    ds = [alpha]
-    es = [0.0]
-    for i in range(1, nterms):
-        s = eps + i
-        e_s = a1 * cs[-1] - a * ds[-1]
-        denom = a1 * (alpha**2 + s**2 - k**2)
-        cs.append((a1 * alpha + a * (s + k)) / denom * e_s)
-        ds.append((a * alpha - a1 * (s - k)) / denom * e_s)
-        es.append(e_s)
+    if nterms < 1:
+        raise DomainError("need at least one series term")
+    a1, _, a = _rate_constants(energy)
+    eps = math.sqrt(qn.k**2 - alpha**2)
+    cs, ds, es = zip(*itertools.islice(_series_terms(qn.k, alpha, eps, a1, a), nterms))
     return eps, np.array(cs), np.array(ds), np.array(es)
+
+
+def _series_at(qn: DiracQuantumNumbers, alpha: float, energy: float,
+               r: float) -> tuple[float, float]:
+    """(f, g) / r^eps of the regular radial solution at r, summed from the
+    series; the positive factor r^eps is left out because the shooting
+    mismatch is scale free.  Terms are added until both new ones are below
+    rounding relative to hypot(f, g) (f alone vanishes at a node), and
+    NumericError is raised if SERIES_MAX_TERMS terms do not get there.  At the
+    shooting match point r = 1/a the terms fall like 2^s/s!."""
+    a1, _, a = _rate_constants(energy)
+    eps = math.sqrt(qn.k**2 - alpha**2)
+    f = g = 0.0
+    r_i = 1.0
+    for c, d, _ in itertools.islice(_series_terms(qn.k, alpha, eps, a1, a),
+                                    SERIES_MAX_TERMS):
+        df, dg = c * r_i, d * r_i
+        f += df
+        g += dg
+        if max(abs(df), abs(dg)) <= _ROUNDING * math.hypot(f, g):
+            if math.isfinite(f + g):
+                return f, g
+            break
+        r_i *= r
+    raise NumericError(f"radial series at r = {r:g} failed to converge "
+                       f"in {SERIES_MAX_TERMS} terms")
 
 
 @dataclass
@@ -170,23 +211,15 @@ def _radial_rhs(alpha: float, k: int, a1: float, a2: float, a: float):
 
 def _shoot_mismatch(qn: DiracQuantumNumbers, alpha: float, energy: float) -> float:
     """Log-derivative mismatch at the matching point rho = a r = 1; its zeros
-    are the bound-state energies."""
-    import numpy as np
-
+    are the bound-state energies.  The outward side is the regular series
+    summed at the match point, the inward side one LSODA solve from
+    rho = 40."""
     if not 0.0 < energy < 1.0:
         raise DomainError("bound-state window is 0 < E < mc^2")
     a1, a2, a = _rate_constants(energy)
-    k = qn.k
-    rhs = _radial_rhs(alpha, k, a1, a2, a)
+    rhs = _radial_rhs(alpha, qn.k, a1, a2, a)
     r_match = 1.0 / a
-
-    eps, cs, ds, _ = series_coefficients(qn, alpha, energy, nterms=30)
-    r0 = 1e-3 / a
-    powers = r0 ** (eps + np.arange(len(cs)))
-    y0 = (float(cs @ powers), float(ds @ powers))
-    f_out, g_out = numerics.ode_endpoint(rhs, (r0, r_match), y0,
-                                         what="outward radial integration",
-                                         rtol=1e-12, atol=1e-300)
+    f_out, g_out = _series_at(qn, alpha, energy, r_match)
 
     r_far = 40.0 / a
     y_far = (1.0, math.sqrt(a1 / a2))
@@ -202,12 +235,13 @@ def radial_shoot(qn: DiracQuantumNumbers, alpha: float, energy_guess: float) -> 
     """Bound-state energy from two-sided shooting on the coupled first-order
     radial system: a sign change of the mismatch is bracketed around the
     guess, then refined by Brent's method (brentq) to xtol 1e-13 in
-    E/mc^2.  Each mismatch is two LSODA solves (numerics.ode_endpoint) and is
-    evaluated once per energy: brentq reuses the bracket ends the search
-    already solved.  A level with N <= 4 takes 4-5 mismatches, so 8-10
-    solves and about 2,300-5,300 right-hand-side evaluations.  Independent
-    oracle for the closed-form spectrum; seed it with the nonrelativistic
-    estimate."""
+    E/mc^2.  Each mismatch is one LSODA solve (numerics.ode_endpoint), inward
+    from rho = 40 to the match point, against the regular series summed
+    there, and is evaluated once per energy: brentq reuses the bracket ends
+    the search already solved.  A level with N <= 4 takes 4-5 mismatches at
+    either constants profile, so 4-5 solves and about 1,300-3,500
+    right-hand-side evaluations.  Independent oracle for the closed-form
+    spectrum; seed it with the nonrelativistic estimate."""
     check_alpha(alpha)
     if not 0.0 < energy_guess < 1.0:
         raise DomainError("energy guess must be inside the bound-state window")

@@ -21,8 +21,9 @@ import warnings
 from .errors import NumericError
 
 GAUSS_NODES = 64
-# LSODA step cap per ode_endpoint call.  A radial shooting solve takes up to
-# about 800 steps (N <= 4 at alpha = 0.09), more than odeint's default of 500.
+# LSODA step cap per ode_endpoint call.  The inward radial shooting solve takes
+# up to about 800 steps (N <= 4 at alpha = 0.099), more than odeint's default
+# of 500.
 ODE_MAX_STEPS = 20_000
 
 

@@ -243,13 +243,17 @@ def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
     adds the slashes of p and p' (6 slash calls), "spinors" forms the vertex
     alone (4).
     """
-    p, k, kp, pp = compton_geometry(eps, theta)
     e2 = 4.0 * math.pi * alpha
     if route == "closed":
+        # the closed form needs no four-vectors; reject eps <= 0 as
+        # compton_geometry does for the other routes
+        if eps <= 0:
+            raise DomainError("incident frequency must be positive")
         ratio = 1.0 + eps * (1.0 - math.cos(theta))
         return e2**2 / 4.0 * _kn_bracket(eps, theta, e.dot(ep), ratio)
     from . import dirac, spinors
 
+    p, k, kp, pp = compton_geometry(eps, theta)
     s_k, s_e, s_kp, s_ep = _slashes(k, e, kp, ep)
     ops = _compton_vertex(s_k, s_e, s_kp, s_ep, k.x0, kp.x0)
     if route == "trace":

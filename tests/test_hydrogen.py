@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qed51 import hydrogen as hyd
+from qed51 import numerics
 from qed51.constants import ERA_1951, MODERN
-from qed51.errors import DomainError
+from qed51.errors import DomainError, NumericError
 
 ALPHA = 1.0 / 137.036
 
@@ -162,20 +163,84 @@ def test_shooting_matches_closed_form_n_le_4(alpha):
         assert abs(shot - exact) / exact < 1e-8, (qn, shot, exact)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=0.099))
+def test_shooting_matches_closed_form_at_random_alpha(alpha):
+    for qn in _levels_up_to(2):
+        exact = hyd.dirac_energy(qn, alpha).energy
+        guess = 1.0 - alpha**2 / (2.0 * qn.big_n**2)
+        shot = hyd.radial_shoot(qn, alpha, guess)
+        assert abs(shot - exact) / exact < 1e-8, (qn, shot, exact)
+
+
 def test_shooting_solves_each_trial_energy_once(monkeypatch):
     solved = []
+    solves = []
     mismatch = hyd._shoot_mismatch
+    ode_endpoint = numerics.ode_endpoint
 
     def counted(qn, alpha, energy):
         solved.append(energy)
         return mismatch(qn, alpha, energy)
 
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return ode_endpoint(*args, **kwargs)
+
     monkeypatch.setattr(hyd, "_shoot_mismatch", counted)
+    monkeypatch.setattr(numerics, "ode_endpoint", counted_solve)
     for qn in _levels_up_to(2):
         solved.clear()
+        solves.clear()
         hyd.radial_shoot(qn, ALPHA, 1.0 - ALPHA**2 / (2.0 * qn.big_n**2))
         assert len(solved) > 2
         assert len(solved) == len(set(solved)), qn
+        # one LSODA solve per trial energy: the outward side is the series
+        assert len(solves) == len(solved), qn
+
+
+def _outward_by_ode(qn, alpha, energy):
+    """(f, g) at the match point r = 1/a by LSODA outward from r0 = 1e-3/a,
+    started on 30 series terms: the outward route the series sum replaced."""
+    a1, a2, a = hyd._rate_constants(energy)
+    eps, cs, ds, _ = hyd.series_coefficients(qn, alpha, energy, nterms=30)
+    r0 = 1e-3 / a
+    powers = r0 ** (eps + np.arange(len(cs)))
+    y0 = (float(cs @ powers), float(ds @ powers))
+    return numerics.ode_endpoint(hyd._radial_rhs(alpha, qn.k, a1, a2, a), (r0, 1.0 / a), y0,
+                                 what="outward radial integration", rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("alpha", [MODERN.alpha, ERA_1951.alpha], ids=["modern", "1951"])
+def test_series_at_match_point_agrees_with_outward_ode(alpha):
+    for qn in _levels_up_to(4):
+        exact = hyd.dirac_energy(qn, alpha).energy
+        for energy in (exact, exact * (1.0 - 1e-6), exact * (1.0 + 1e-6), exact * 0.9999):
+            f_ode, g_ode = _outward_by_ode(qn, alpha, energy)
+            f, g = hyd._series_at(qn, alpha, energy, 1.0 / hyd._rate_constants(energy)[2])
+            norm = math.hypot(f, g) * math.hypot(f_ode, g_ode)
+            assert f * f_ode + g * g_ode > 0, (qn, energy)
+            assert abs(f * g_ode - f_ode * g) / norm < 1e-9, (qn, energy)
+
+
+def test_series_at_raises_when_it_cannot_converge(monkeypatch):
+    qn = hyd.DiracQuantumNumbers(1, -1)
+    energy = hyd.dirac_energy(qn, ALPHA).energy * 0.9999
+    a = hyd._rate_constants(energy)[2]
+    hyd._series_at(qn, ALPHA, energy, 1.0 / a)
+    # at rho = 400 the terms peak near s = 800, far past the cap
+    with pytest.raises(NumericError, match="failed to converge"):
+        hyd._series_at(qn, ALPHA, energy, 400.0 / a)
+    monkeypatch.setattr(hyd, "SERIES_MAX_TERMS", 4)
+    with pytest.raises(NumericError, match="failed to converge in 4 terms"):
+        hyd._series_at(qn, ALPHA, energy, 1.0 / a)
+
+
+def test_series_coefficients_need_a_term():
+    qn = hyd.DiracQuantumNumbers(0, 1)
+    assert len(hyd.series_coefficients(qn, ALPHA, 0.9, 1)[1]) == 1
+    with pytest.raises(DomainError):
+        hyd.series_coefficients(qn, ALPHA, 0.9, 0)
 
 
 def test_shooting_degenerate_pair():

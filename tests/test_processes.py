@@ -166,6 +166,14 @@ def test_kn_spin_sum_three_routes_at_spec_point():
     assert abs(pr.kn_spin_summed_ksq(1.0, th, e, ep, ALPHA, "spinors") / closed - 1) < 1e-8
 
 
+@pytest.mark.parametrize("route", ["closed", "trace", "spinors"])
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_kn_spin_sum_rejects_nonpositive_photon_energy(eps, route):
+    e, ep = FourVector(1, 0, 0, 0), FourVector(0, 1, 0, 0)
+    with pytest.raises(DomainError, match="incident frequency must be positive"):
+        pr.kn_spin_summed_ksq(eps, 0.7, e, ep, ALPHA, route)
+
+
 def test_kn_spin_sum_grid():
     # the trace route is checked on random draws in test_oracles.py
     e_bases = (FourVector(1, 0, 0, 0), FourVector(0, 1, 0, 0))
