@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qed51 import hydrogen as hyd
@@ -135,15 +135,6 @@ def test_radial_rhs_rounds_like_numpy_scalars(r, f, g, k, alpha, energy):
     assert (float(df).hex(), float(dg).hex()) == (float(want_df).hex(), float(want_dg).hex())
 
 
-def test_shooting_matches_closed_form_n_le_2():
-    for n, k in ((0, 1), (1, -1), (1, 1), (0, 2)):
-        qn = hyd.DiracQuantumNumbers(n, k)
-        exact = hyd.dirac_energy(qn, ALPHA).energy
-        guess = 1.0 - ALPHA**2 / (2.0 * qn.big_n**2)  # nonrelativistic seed
-        shot = hyd.radial_shoot(qn, ALPHA, guess)
-        assert abs(shot - exact) / exact < 1e-8
-
-
 def _levels_up_to(max_big_n):
     for big_n in range(1, max_big_n + 1):
         for k in range(-big_n, big_n + 1):
@@ -165,10 +156,11 @@ def test_shooting_matches_closed_form_n_le_4(alpha):
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=1e-3, max_value=0.099))
-def test_shooting_matches_closed_form_at_random_alpha(alpha):
+@example(ALPHA)
+def test_shooting_matches_closed_form_n_le_2(alpha):
     for qn in _levels_up_to(2):
         exact = hyd.dirac_energy(qn, alpha).energy
-        guess = 1.0 - alpha**2 / (2.0 * qn.big_n**2)
+        guess = 1.0 - alpha**2 / (2.0 * qn.big_n**2)  # nonrelativistic seed
         shot = hyd.radial_shoot(qn, alpha, guess)
         assert abs(shot - exact) / exact < 1e-8, (qn, shot, exact)
 
