@@ -70,10 +70,14 @@ def fine_structure_expansion(big_n: int, k: int, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # Series solution machinery.
 
-# Cap on the terms _series_at adds; at the shooting match point every level
-# with N <= 4 and alpha in [1e-3, 0.099] converges within 21.
+# Cap on the terms _sum_to_rounding adds.  For every level with N <= 4 and
+# alpha in [1e-3, 0.099] the regular series converges at the shooting match
+# point within 21 terms, the asymptotic series at the inward start within 11.
 SERIES_MAX_TERMS = 200
 _ROUNDING = 2.0**-53  # unit roundoff of a double
+# An asymptotic sum whose largest term is this many times the sum is accurate
+# to no better than about 1e-13, short of the inward solve's rtol of 1e-12.
+_MAX_CANCELLATION = 1e3
 
 
 def _rate_constants(energy: float):
@@ -115,30 +119,86 @@ def series_coefficients(qn: DiracQuantumNumbers, alpha: float, energy: float,
     return eps, np.array(cs), np.array(ds), np.array(es)
 
 
+def _scaled(terms, x: float):
+    """(c x^i, d x^i) for the i-th (c, d, ...) of terms."""
+    x_i = 1.0
+    for c, d, *_ in terms:
+        yield c * x_i, d * x_i
+        x_i *= x
+
+
+def _sum_to_rounding(terms, what: str, asymptotic: bool = False) -> tuple[float, float]:
+    """Sum the (df, dg) terms until both new ones are below rounding relative
+    to hypot(f, g) (f alone vanishes at a node).  NumericError is raised if
+    SERIES_MAX_TERMS terms do not get there or the sum is not finite.  An
+    asymptotic series also fails if a term grows after the terms have begun
+    to fall, or if its largest term exceeds _MAX_CANCELLATION hypot(f, g):
+    it then has no more digits to give, or has lost them to cancellation."""
+    f = g = last = biggest = 0.0
+    falling = False
+    for i, (df, dg) in enumerate(itertools.islice(terms, SERIES_MAX_TERMS)):
+        f += df
+        g += dg
+        size = max(abs(df), abs(dg))
+        if size <= _ROUNDING * math.hypot(f, g):
+            if not math.isfinite(f + g):
+                break
+            if asymptotic and biggest > _MAX_CANCELLATION * math.hypot(f, g):
+                raise NumericError(f"{what} failed to converge: it loses more than "
+                                   f"three digits to cancellation")
+            return f, g
+        if asymptotic:
+            if falling and size > last:
+                raise NumericError(f"{what} failed to converge: its terms grow "
+                                   f"from term {i}")
+            falling = falling or size < last
+            last = size
+            biggest = max(biggest, size)
+    raise NumericError(f"{what} failed to converge in {SERIES_MAX_TERMS} terms")
+
+
 def _series_at(qn: DiracQuantumNumbers, alpha: float, energy: float,
                r: float) -> tuple[float, float]:
     """(f, g) / r^eps of the regular radial solution at r, summed from the
-    series; the positive factor r^eps is left out because the shooting
-    mismatch is scale free.  Terms are added until both new ones are below
-    rounding relative to hypot(f, g) (f alone vanishes at a node), and
-    NumericError is raised if SERIES_MAX_TERMS terms do not get there.  At the
-    shooting match point r = 1/a the terms fall like 2^s/s!."""
+    series to rounding (_sum_to_rounding); the positive factor r^eps is left
+    out because the shooting mismatch is scale free.  At the shooting match
+    point r = 1/a the terms fall like 2^s/s!."""
     a1, _, a = _rate_constants(energy)
     eps = math.sqrt(qn.k**2 - alpha**2)
-    f = g = 0.0
-    r_i = 1.0
-    for c, d, _ in itertools.islice(_series_terms(qn.k, alpha, eps, a1, a),
-                                    SERIES_MAX_TERMS):
-        df, dg = c * r_i, d * r_i
-        f += df
-        g += dg
-        if max(abs(df), abs(dg)) <= _ROUNDING * math.hypot(f, g):
-            if math.isfinite(f + g):
-                return f, g
-            break
-        r_i *= r
-    raise NumericError(f"radial series at r = {r:g} failed to converge "
-                       f"in {SERIES_MAX_TERMS} terms")
+    return _sum_to_rounding(_scaled(_series_terms(qn.k, alpha, eps, a1, a), r),
+                            what=f"radial series at r = {r:g}")
+
+
+def _decaying_terms(k: int, alpha: float, sigma: float, a1: float, a2: float, a: float):
+    """Yield (A_m, B_m) for m = 0, 1, ... without end, the coefficients of
+    the asymptotic series of the radial solution that decays at infinity,
+    f / r^sigma = sum A_m r^-m, g / r^sigma = sum B_m r^-m, sigma = alpha E / a,
+    in the variables of _radial_rhs.  A_0 = 1, B_0 = a / a2, and for m >= 1
+        a A_m - a2 B_m = (sigma - m + 1 - k) A_{m-1} + alpha B_{m-1},
+        (a1 (sigma - m - k) - a alpha) A_m + (a1 alpha + a (sigma - m + k)) B_m = 0,
+    a system whose determinant is -2 a^2 m."""
+    big_a, big_b = 1.0, a / a2
+    m = 0
+    while True:
+        yield big_a, big_b
+        m += 1
+        s = sigma - m
+        q = ((s + 1.0 - k) * big_a + alpha * big_b) / (-2.0 * a * a * m)
+        big_a = q * (a1 * alpha + a * (s + k))
+        big_b = -q * (a1 * (s - k) - a * alpha)
+
+
+def _decaying_at(qn: DiracQuantumNumbers, alpha: float, energy: float,
+                 r: float) -> tuple[float, float]:
+    """(f, g) / r^sigma of the solution that decays at infinity, at r, summed
+    from its asymptotic series to rounding (_sum_to_rounding).  The sum
+    needs a larger rho = a r the larger sigma is: over k in [-8, 8] and alpha
+    from 1e-3 to 0.099, sigma <= 8 needs rho <= 17, sigma = 20 needs 50 and
+    sigma = 30 needs 109, so _inward_at_match starts at rho = 20 + sigma^2/4."""
+    a1, a2, a = _rate_constants(energy)
+    terms = _decaying_terms(qn.k, alpha, alpha * energy / a, a1, a2, a)
+    return _sum_to_rounding(_scaled(terms, 1.0 / r), asymptotic=True,
+                            what=f"asymptotic radial series at r = {r:g}")
 
 
 @dataclass
@@ -195,8 +255,8 @@ def radial_recursion_check(qn: DiracQuantumNumbers, alpha: float) -> RecursionRe
 def _radial_rhs(alpha: float, k: int, a1: float, a2: float, a: float):
     """Right-hand side for y = (f, g) with u = exp(-a r) f / r etc.
 
-    LSODA passes y as an ndarray and calls this thousands of times per
-    level, so f and g are unpacked with tolist(): the body then runs on
+    LSODA passes y as an ndarray and calls this 600-3,300 times per level
+    (N <= 4), so f and g are unpacked with tolist(): the body then runs on
     Python floats, about twice as fast as on numpy.float64 scalars and
     rounded identically, operation for operation."""
 
@@ -209,23 +269,27 @@ def _radial_rhs(alpha: float, k: int, a1: float, a2: float, a: float):
     return rhs
 
 
+def _inward_at_match(qn: DiracQuantumNumbers, alpha: float, energy: float) -> tuple[float, float]:
+    """(f, g), up to a positive factor, of the solution that decays at
+    infinity, at the matching point rho = a r = 1: one LSODA solve inward from
+    rho = 20 + sigma^2/4, started on the asymptotic series summed there
+    (_decaying_at).  The growing solution is not excited, so LSODA has no
+    transient to resolve."""
+    a1, a2, a = _rate_constants(energy)
+    r_far = (20.0 + 0.25 * (alpha * energy / a) ** 2) / a
+    return numerics.ode_endpoint(_radial_rhs(alpha, qn.k, a1, a2, a), (r_far, 1.0 / a),
+                                 _decaying_at(qn, alpha, energy, r_far),
+                                 what="inward radial integration", rtol=1e-12, atol=1e-300)
+
+
 def _shoot_mismatch(qn: DiracQuantumNumbers, alpha: float, energy: float) -> float:
     """Log-derivative mismatch at the matching point rho = a r = 1; its zeros
     are the bound-state energies.  The outward side is the regular series
-    summed at the match point, the inward side one LSODA solve from
-    rho = 40."""
+    summed at the match point, the inward side _inward_at_match."""
     if not 0.0 < energy < 1.0:
         raise DomainError("bound-state window is 0 < E < mc^2")
-    a1, a2, a = _rate_constants(energy)
-    rhs = _radial_rhs(alpha, qn.k, a1, a2, a)
-    r_match = 1.0 / a
-    f_out, g_out = _series_at(qn, alpha, energy, r_match)
-
-    r_far = 40.0 / a
-    y_far = (1.0, math.sqrt(a1 / a2))
-    f_in, g_in = numerics.ode_endpoint(rhs, (r_far, r_match), y_far,
-                                       what="inward radial integration",
-                                       rtol=1e-12, atol=1e-300)
+    f_out, g_out = _series_at(qn, alpha, energy, 1.0 / _rate_constants(energy)[2])
+    f_in, g_in = _inward_at_match(qn, alpha, energy)
 
     # Wronskian-like mismatch, normalized to be scale free.
     return (f_out * g_in - f_in * g_out) / math.hypot(f_out, g_out) / math.hypot(f_in, g_in)
@@ -235,13 +299,14 @@ def radial_shoot(qn: DiracQuantumNumbers, alpha: float, energy_guess: float) -> 
     """Bound-state energy from two-sided shooting on the coupled first-order
     radial system: a sign change of the mismatch is bracketed around the
     guess, then refined by Brent's method (brentq) to xtol 1e-13 in
-    E/mc^2.  Each mismatch is one LSODA solve (numerics.ode_endpoint), inward
-    from rho = 40 to the match point, against the regular series summed
-    there, and is evaluated once per energy: brentq reuses the bracket ends
-    the search already solved.  A level with N <= 4 takes 4-5 mismatches at
-    either constants profile, so 4-5 solves and about 1,300-3,500
-    right-hand-side evaluations.  Independent oracle for the closed-form
-    spectrum; seed it with the nonrelativistic estimate."""
+    E/mc^2.  Each mismatch is one LSODA solve (numerics.ode_endpoint) between
+    two summed series: inward from the asymptotic series of the decaying
+    solution to the match point, against the regular series there.  It is
+    evaluated once per energy: brentq reuses the bracket ends the search
+    already solved.  A level with N <= 4 takes 4-5 mismatches at either
+    constants profile, so 4-5 solves and about 600-1,700 right-hand-side
+    evaluations.  Independent oracle for the closed-form spectrum; seed it
+    with the nonrelativistic estimate."""
     check_alpha(alpha)
     if not 0.0 < energy_guess < 1.0:
         raise DomainError("energy guess must be inside the bound-state window")
@@ -252,8 +317,10 @@ def radial_shoot(qn: DiracQuantumNumbers, alpha: float, energy_guess: float) -> 
             solved[energy] = _shoot_mismatch(qn, alpha, energy)
         return solved[energy]
 
-    # bracket by expanding around the guess
-    width = max(alpha**4, 1e-9)
+    # bracket by expanding around the guess; the first half-width stays
+    # inside the gap to the levels N +- 1, about alpha^2/N^3, and the
+    # nonrelativistic seed is off by less than alpha^4/2N^3
+    width = max(alpha**4 / qn.big_n**3, 1e-9)
     lo = hi = None
     f_guess = mismatch(energy_guess)
     for _ in range(60):

@@ -117,7 +117,7 @@ def electron_from_energy(energy: float, direction) -> ElectronState:
 def compton_shift(k0: float, theta: float) -> float:
     """Scattered photon frequency off an electron at rest:
     k0' = k0 / (1 + (1 - cos theta) k0)."""
-    if k0 <= 0:
+    if not k0 > 0:  # nan fails too
         raise DomainError("incident frequency must be positive")
     return k0 / (1.0 + (1.0 - math.cos(theta)) * k0)
 

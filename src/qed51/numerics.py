@@ -21,9 +21,9 @@ import warnings
 from .errors import NumericError
 
 GAUSS_NODES = 64
-# LSODA step cap per ode_endpoint call.  The inward radial shooting solve takes
-# up to about 800 steps (N <= 4 at alpha = 0.099), more than odeint's default
-# of 500.
+# LSODA step cap per ode_endpoint call.  Over 44 values of alpha in
+# [1e-3, 0.099], the inward radial shooting solve takes at most 421 steps for
+# N <= 4 and 1,111 for N = 6, more than odeint's default of 500.
 ODE_MAX_STEPS = 20_000
 
 

@@ -245,9 +245,9 @@ def kn_spin_summed_ksq(eps: float, theta: float, e: FourVector, ep: FourVector,
     """
     e2 = 4.0 * math.pi * alpha
     if route == "closed":
-        # the closed form needs no four-vectors; reject eps <= 0 as
+        # the closed form needs no four-vectors; reject eps <= 0 and nan as
         # compton_geometry does for the other routes
-        if eps <= 0:
+        if not eps > 0:
             raise DomainError("incident frequency must be positive")
         ratio = 1.0 + eps * (1.0 - math.cos(theta))
         return e2**2 / 4.0 * _kn_bracket(eps, theta, e.dot(ep), ratio)
@@ -280,7 +280,7 @@ def kn_dcs(eps: float, theta: float, phi: float | None = None,
     unpolarized value sums the scattered and averages the incident
     polarizations over the two explicit orthonormal bases.
     """
-    if eps < 0:
+    if not eps >= 0:  # nan fails too
         raise DomainError("photon energy must be nonnegative")
     ratio = 1.0 + eps * (1.0 - math.cos(theta))
     if unpolarized:

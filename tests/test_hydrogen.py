@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -165,6 +166,18 @@ def test_shooting_matches_closed_form_n_le_2(alpha):
         assert abs(shot - exact) / exact < 1e-8, (qn, shot, exact)
 
 
+@pytest.mark.parametrize("alpha", [0.082, 0.0939, 0.099])
+def test_shooting_finds_n5_and_n6_levels_at_large_alpha(alpha):
+    # the first bracket half-width must stay inside the gap to N +- 1, about
+    # alpha^2/N^3, or the search lands on a neighbouring level or walks to E = 1
+    levels = [qn for qn in _levels_up_to(6) if qn.big_n >= 5]
+    assert len(levels) == 20
+    for qn in levels:
+        exact = hyd.dirac_energy(qn, alpha).energy
+        shot = hyd.radial_shoot(qn, alpha, 1.0 - alpha**2 / (2.0 * qn.big_n**2))
+        assert abs(shot - exact) / exact < 1e-8, (qn, shot, exact)
+
+
 def test_shooting_solves_each_trial_energy_once(monkeypatch):
     solved = []
     solves = []
@@ -226,6 +239,72 @@ def test_series_at_raises_when_it_cannot_converge(monkeypatch):
     monkeypatch.setattr(hyd, "SERIES_MAX_TERMS", 4)
     with pytest.raises(NumericError, match="failed to converge in 4 terms"):
         hyd._series_at(qn, ALPHA, energy, 1.0 / a)
+
+
+@pytest.mark.parametrize("k", [-4, -1, 1, 3])
+@pytest.mark.parametrize("energy", [0.5, 0.9999, 1.0 - 1e-6])
+def test_decaying_series_solves_the_radial_system(k, energy):
+    # f = sum A_m r^(sigma - m), g = sum B_m r^(sigma - m) put into
+    #   f' = (a + k/r) f - (alpha/r + a2) g,  g' = (alpha/r - a1) f + (a - k/r) g
+    # must match at every power r^(sigma - m), with sigma = alpha E / a
+    a1, a2, a = hyd._rate_constants(energy)
+    sigma = ALPHA * energy / a
+    coefs = list(itertools.islice(hyd._decaying_terms(k, ALPHA, sigma, a1, a2, a), 40))
+    assert coefs[0] == (1.0, a / a2)
+    prev = (0.0, 0.0)
+    for m, (big_a, big_b) in enumerate(coefs):
+        pa, pb = prev
+        f_terms = ((sigma - m + 1) * pa, a * big_a, k * pa, -ALPHA * pb, -a2 * big_b)
+        g_terms = ((sigma - m + 1) * pb, ALPHA * pa, -a1 * big_a, a * big_b, -k * pb)
+        assert abs(f_terms[0] - sum(f_terms[1:])) <= 1e-12 * sum(map(abs, f_terms)), m
+        assert abs(g_terms[0] - sum(g_terms[1:])) <= 1e-12 * sum(map(abs, g_terms)), m
+        # the 2x2 system each step solves has determinant -2 a^2 m
+        det = a * (a1 * ALPHA + a * (sigma - m + k)) + a2 * (a1 * (sigma - m - k) - a * ALPHA)
+        assert abs(det + 2.0 * a * a * m) <= 1e-12 * (a * a * (abs(sigma) + m + abs(k)) + a * ALPHA)
+        prev = (big_a, big_b)
+
+
+def _inward_from_leading_order(qn, alpha, energy):
+    """(f, g) at the match point r = 1/a by LSODA inward from rho = 40, started
+    on the leading-order ratio g/f = sqrt(a1/a2): the inward route the
+    asymptotic series replaced."""
+    a1, a2, a = hyd._rate_constants(energy)
+    return numerics.ode_endpoint(hyd._radial_rhs(alpha, qn.k, a1, a2, a), (40.0 / a, 1.0 / a),
+                                 (1.0, math.sqrt(a1 / a2)), what="inward radial integration",
+                                 rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("alpha", [MODERN.alpha, ERA_1951.alpha], ids=["modern", "1951"])
+def test_inward_start_agrees_with_leading_order_start(alpha):
+    # N <= 4 only: at N = 5 and E(1 + 1e-6) sigma is about 20 and rho = 40 is
+    # too close for the old start, which is then off by a few percent
+    for qn in _levels_up_to(4):
+        exact = hyd.dirac_energy(qn, alpha).energy
+        for energy in (exact, exact * (1.0 - 1e-6), exact * (1.0 + 1e-6), exact * 0.9999):
+            f_old, g_old = _inward_from_leading_order(qn, alpha, energy)
+            f, g = hyd._inward_at_match(qn, alpha, energy)
+            norm = math.hypot(f, g) * math.hypot(f_old, g_old)
+            assert f * f_old + g * g_old > 0, (qn, energy)
+            assert abs(f * g_old - f_old * g) / norm < 1e-8, (qn, energy)
+
+
+def test_decaying_sum_raises_where_it_cannot_converge(monkeypatch):
+    # an N = 5 level at E(1 + 1e-6): sigma = alpha E / a is about 20
+    qn = hyd.DiracQuantumNumbers(1, -4)
+    energy = hyd.dirac_energy(qn, ALPHA).energy * (1.0 + 1e-6)
+    a = hyd._rate_constants(energy)[2]
+    sigma = ALPHA * energy / a
+    assert 19.0 < sigma < 21.0
+    hyd._decaying_at(qn, ALPHA, energy, (20.0 + sigma**2 / 4.0) / a)
+    # at rho = 20 the sum cancels: its largest term is about 1e8 times the sum
+    with pytest.raises(NumericError, match="failed to converge: .* cancellation"):
+        hyd._decaying_at(qn, ALPHA, energy, 20.0 / a)
+    # at rho = 2 they turn to grow before they reach rounding
+    with pytest.raises(NumericError, match="failed to converge: its terms grow"):
+        hyd._decaying_at(qn, ALPHA, energy, 2.0 / a)
+    monkeypatch.setattr(hyd, "SERIES_MAX_TERMS", 4)
+    with pytest.raises(NumericError, match="failed to converge in 4 terms"):
+        hyd._decaying_at(qn, ALPHA, energy, (20.0 + sigma**2 / 4.0) / a)
 
 
 def test_series_coefficients_need_a_term():

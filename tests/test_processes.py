@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,11 +168,22 @@ def test_kn_spin_sum_three_routes_at_spec_point():
 
 
 @pytest.mark.parametrize("route", ["closed", "trace", "spinors"])
-@pytest.mark.parametrize("eps", [0.0, -1.0])
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
 def test_kn_spin_sum_rejects_nonpositive_photon_energy(eps, route):
     e, ep = FourVector(1, 0, 0, 0), FourVector(0, 1, 0, 0)
-    with pytest.raises(DomainError, match="incident frequency must be positive"):
-        pr.kn_spin_summed_ksq(eps, 0.7, e, ep, ALPHA, route)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nan must not reach numpy
+        with pytest.raises(DomainError, match="incident frequency must be positive"):
+            pr.kn_spin_summed_ksq(eps, 0.7, e, ep, ALPHA, route)
+
+
+@pytest.mark.parametrize("unpolarized", [False, True])
+@pytest.mark.parametrize("eps", [-1.0, math.nan])
+def test_kn_dcs_rejects_negative_photon_energy(eps, unpolarized):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="photon energy must be nonnegative"):
+            pr.kn_dcs(eps, 0.7, phi=0.3, unpolarized=unpolarized)
 
 
 def test_kn_spin_sum_grid():
