@@ -135,7 +135,6 @@ def _sum_to_rounding(terms, what: str, asymptotic: bool = False) -> tuple[float,
     to fall, or if its largest term exceeds _MAX_CANCELLATION hypot(f, g):
     it then has no more digits to give, or has lost them to cancellation."""
     f = g = last = biggest = 0.0
-    falling = False
     for i, (df, dg) in enumerate(itertools.islice(terms, SERIES_MAX_TERMS)):
         f += df
         g += dg
@@ -148,10 +147,9 @@ def _sum_to_rounding(terms, what: str, asymptotic: bool = False) -> tuple[float,
                                    f"three digits to cancellation")
             return f, g
         if asymptotic:
-            if falling and size > last:
+            if last < biggest and size > last:  # growing after a fall
                 raise NumericError(f"{what} failed to converge: its terms grow "
                                    f"from term {i}")
-            falling = falling or size < last
             last = size
             biggest = max(biggest, size)
     raise NumericError(f"{what} failed to converge in {SERIES_MAX_TERMS} terms")

@@ -277,7 +277,7 @@ def _inward_from_leading_order(qn, alpha, energy):
 @pytest.mark.parametrize("alpha", [MODERN.alpha, ERA_1951.alpha], ids=["modern", "1951"])
 def test_inward_start_agrees_with_leading_order_start(alpha):
     # N <= 4 only: at N = 5 and E(1 + 1e-6) sigma is about 20 and rho = 40 is
-    # too close for the old start, which is then off by a few percent
+    # too close for the old start, which is then off by up to 3e-2
     for qn in _levels_up_to(4):
         exact = hyd.dirac_energy(qn, alpha).energy
         for energy in (exact, exact * (1.0 - 1e-6), exact * (1.0 + 1e-6), exact * 0.9999):
@@ -299,7 +299,7 @@ def test_decaying_sum_raises_where_it_cannot_converge(monkeypatch):
     # at rho = 20 the sum cancels: its largest term is about 1e8 times the sum
     with pytest.raises(NumericError, match="failed to converge: .* cancellation"):
         hyd._decaying_at(qn, ALPHA, energy, 20.0 / a)
-    # at rho = 2 they turn to grow before they reach rounding
+    # at rho = 2 the terms fall, then grow again before they reach rounding
     with pytest.raises(NumericError, match="failed to converge: its terms grow"):
         hyd._decaying_at(qn, ALPHA, energy, 2.0 / a)
     monkeypatch.setattr(hyd, "SERIES_MAX_TERMS", 4)
