@@ -85,18 +85,6 @@ def _table(conv: str) -> dict:
     return m
 
 
-def gamma_matrix(conv: str, index: int) -> np.ndarray:
-    """The explicit gamma matrix of the selected table (shared, read-only).
-
-    Dyson indices: 1..5.  Feynman indices: 0..3 and 5.
-    """
-    conv = _normalize(conv)
-    valid = (1, 2, 3, 4, 5) if conv == DYSON else (0, 1, 2, 3, 5)
-    if index not in valid:
-        raise DomainError(f"gamma index {index} invalid for {conv} convention")
-    return _table(conv)[f"gamma{index}"]
-
-
 def gammas(conv: str = DYSON):
     """The four vector gamma matrices in component order (1,2,3, time); shared, read-only."""
     conv = _normalize(conv)

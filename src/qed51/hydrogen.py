@@ -88,13 +88,13 @@ def _rate_constants(energy: float):
 
 
 def _series_terms(k: int, alpha: float, eps: float, a1: float, a: float):
-    """The printed two-term recursion: yield (c_s, d_s, e_s) for s = eps,
-    eps+1, ... without end, the coefficients of the regular radial solution
-    f = sum c_s r^s, g = sum d_s r^s, with e_s = a1 c_{s-1} - a d_{s-1}."""
-    c, d, e_s = eps + k, alpha, 0.0
+    """The printed two-term recursion: yield (c_s, d_s) for s = eps, eps+1,
+    ... without end, the coefficients of the regular radial solution
+    f = sum c_s r^s, g = sum d_s r^s, each through e_s = a1 c_{s-1} - a d_{s-1}."""
+    c, d = eps + k, alpha
     i = 0
     while True:
-        yield c, d, e_s
+        yield c, d
         i += 1
         s = eps + i
         e_s = a1 * c - a * d
@@ -115,21 +115,22 @@ def series_coefficients(qn: DiracQuantumNumbers, alpha: float, energy: float,
         raise DomainError("need at least one series term")
     a1, _, a = _rate_constants(energy)
     eps = math.sqrt(qn.k**2 - alpha**2)
-    cs, ds, es = zip(*itertools.islice(_series_terms(qn.k, alpha, eps, a1, a), nterms))
-    return eps, np.array(cs), np.array(ds), np.array(es)
+    cs, ds = zip(*itertools.islice(_series_terms(qn.k, alpha, eps, a1, a), nterms))
+    return eps, np.array(cs), np.array(ds)
 
 
 def _scaled(terms, x: float):
-    """(c x^i, d x^i) for the i-th (c, d, ...) of terms."""
+    """(c x^i, d x^i) for the i-th (c, d) of terms."""
     x_i = 1.0
-    for c, d, *_ in terms:
+    for c, d in terms:
         yield c * x_i, d * x_i
         x_i *= x
 
 
 def _sum_to_rounding(terms, what: str, asymptotic: bool = False) -> tuple[float, float]:
     """Sum the (df, dg) terms until both new ones are below rounding relative
-    to hypot(f, g) (f alone vanishes at a node).  NumericError is raised if
+    to hypot(f, g) (f alone vanishes at a node), so the sum is good to
+    rounding times its largest term.  NumericError is raised if
     SERIES_MAX_TERMS terms do not get there or the sum is not finite.  An
     asymptotic series also fails if a term grows after the terms have begun
     to fall, or if its largest term exceeds _MAX_CANCELLATION hypot(f, g):
@@ -158,9 +159,10 @@ def _sum_to_rounding(terms, what: str, asymptotic: bool = False) -> tuple[float,
 def _series_at(qn: DiracQuantumNumbers, alpha: float, energy: float,
                r: float) -> tuple[float, float]:
     """(f, g) / r^eps of the regular radial solution at r, summed from the
-    series to rounding (_sum_to_rounding); the positive factor r^eps is left
-    out because the shooting mismatch is scale free.  At the shooting match
-    point r = 1/a the terms fall like 2^s/s!."""
+    series (_sum_to_rounding); the positive factor r^eps is left out because
+    the shooting mismatch is scale free.  At the shooting match point r = 1/a
+    the terms fall like 2^s/s!, but the largest can reach 1.1e4 hypot(f, g),
+    so the sum is good to about 1e-12 relative, not to rounding."""
     a1, _, a = _rate_constants(energy)
     eps = math.sqrt(qn.k**2 - alpha**2)
     return _sum_to_rounding(_scaled(_series_terms(qn.k, alpha, eps, a1, a), r),
@@ -253,10 +255,10 @@ def radial_recursion_check(qn: DiracQuantumNumbers, alpha: float) -> RecursionRe
 def _radial_rhs(alpha: float, k: int, a1: float, a2: float, a: float):
     """Right-hand side for y = (f, g) with u = exp(-a r) f / r etc.
 
-    LSODA passes y as an ndarray and calls this 600-3,300 times per level
-    (N <= 4), so f and g are unpacked with tolist(): the body then runs on
-    Python floats, about twice as fast as on numpy.float64 scalars and
-    rounded identically, operation for operation."""
+    LSODA passes y as an ndarray and calls this 622-1,656 times per level
+    (N <= 4, either constants profile), so f and g are unpacked with
+    tolist(): the body then runs on Python floats, about twice as fast as on
+    numpy.float64 scalars and rounded identically, operation for operation."""
 
     def rhs(r, y):
         f, g = y.tolist()

@@ -28,9 +28,6 @@ class FourVector:
         return (self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3
                 - self.x0 * other.x0)
 
-    def space_dot(self, other: "FourVector") -> float:
-        return self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3
-
     def __add__(self, other):
         return FourVector(self.x1 + other.x1, self.x2 + other.x2,
                           self.x3 + other.x3, self.x0 + other.x0)

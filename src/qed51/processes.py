@@ -18,9 +18,9 @@ from . import numerics
 from .constants import (C_CM_S, O16_ALPHA, O16_HBAR_C_MEV_CM, O16_HBAR_MEV_S,
                         O16_MC2_MEV)
 from .errors import DomainError, NumericError
-from .kinematics import (ElectronState, FourVector, check_conservation, compton_shift,
-                         electron_at_rest, moller_cm_angle, moller_cm_momenta,
-                         two_body_cross_section)
+from .kinematics import (ElectronState, FourVector, PhotonState, check_conservation,
+                         compton_shift, electron_at_rest, moller_cm_angle,
+                         moller_cm_momenta, two_body_cross_section)
 from .propagators import IEpsilonPolicy, electron_propagator
 
 if TYPE_CHECKING:
@@ -40,11 +40,10 @@ class DecayResult:
 # ---------------------------------------------------------------------------
 # Moller scattering.
 
-def moller_dcs(gamma: float, theta: float, alpha: float,
-               spin_resolved: bool = True) -> float:
+def moller_dcs(gamma: float, theta: float, alpha: float) -> float:
     """Differential cross section dsigma/dOmega* (CM solid angle) for
     electron-electron scattering, lab angle theta against a target at rest,
-    in r0^2 units.  The spinless variant drops the ((gamma-1)/2gamma)^2 term.
+    in r0^2 units.  The ((gamma-1)/2gamma)^2 term is the spin term.
     """
     if gamma <= 1.0:
         raise DomainError("need gamma > 1 (Coulomb divergence at zero velocity)")
@@ -61,9 +60,8 @@ def moller_dcs(gamma: float, theta: float, alpha: float,
         raise NumericError(f"Moller cross section: sin^2(theta*) underflows to 0 "
                            f"at lab angle {theta!r}")
     inv = 1.0 / one_m_x2
-    bracket = 4.0 * inv * inv - 3.0 * inv
-    if spin_resolved:
-        bracket += ((gamma - 1.0) / (2.0 * gamma)) ** 2 * (1.0 + 4.0 * inv)
+    bracket = (4.0 * inv * inv - 3.0 * inv
+               + ((gamma - 1.0) / (2.0 * gamma)) ** 2 * (1.0 + 4.0 * inv))
     # (e_G^2 / m v^2)^2 = (alpha / beta^2)^2; dividing by r0^2 = alpha^2
     # leaves 1/beta^4.
     dcs = 2.0 * (gamma + 1.0) / (gamma**2 * beta2**2) * bracket
@@ -221,9 +219,8 @@ def compton_amplitude(p: FourVector, k: FourVector, e: FourVector,
 
     if max(abs(p.x1), abs(p.x2), abs(p.x3)) > 1e-12:
         raise DomainError("electron must be initially at rest")
-    for photon_k, pol in ((k, e), (kp, ep)):
-        if abs(pol.x0) > 1e-10 or abs(pol.dot(photon_k)) > 1e-9:
-            raise DomainError("unphysical photon polarization")
+    PhotonState(k, e)
+    PhotonState(kp, ep)
     e2 = 4.0 * math.pi * alpha
     vertex = _compton_vertex(*_slashes(k, e, kp, ep), k.x0, kp.x0)
     return spinors.bar_sandwich(up, vertex, u) * e2 / 2.0
@@ -474,20 +471,28 @@ def _coulomb_dcs(energy: float, theta: float, z_charge: float, name: str,
 # ---------------------------------------------------------------------------
 # Bremsstrahlung and pair creation (matrix elements only).
 
+def _static_two_propagator(bra: np.ndarray, ket: np.ndarray, q: FourVector,
+                           first: FourVector, second: FourVector, ep: FourVector,
+                           formfactor, alpha: float) -> complex:
+    """-e^2 f(q) bra-bar { eslash S(first) e'slash + e'slash S(second) eslash }
+    ket with the static vertex eslash = i gamma4 and S the electron line."""
+    from . import dirac, spinors
+
+    e2 = 4.0 * math.pi * alpha
+    vertex_e = 1j * dirac.GAMMA[3]
+    mid = (vertex_e @ electron_propagator(first, policy=_EXACT) @ dirac.slash(ep)
+           + dirac.slash(ep) @ electron_propagator(second, policy=_EXACT) @ vertex_e)
+    return -e2 * formfactor(q) * spinors.bar_sandwich(bra, mid, ket)
+
+
 def bremsstrahlung_me(p: FourVector, u: np.ndarray, pp: FourVector, up: np.ndarray,
                       kp: FourVector, ep: FourVector, formfactor,
                       alpha: float) -> complex:
     """Matrix element for photon emission in a static external potential:
     -e^2 f(q) u'bar { eslash (p-k')-line e'slash + e'slash (p'+k')-line
     eslash } u with the static vertex eslash = i gamma4 f(q), q = p'+k'-p."""
-    from . import dirac, spinors
-
-    e2 = 4.0 * math.pi * alpha
-    q = pp + kp - p
-    vertex_e = 1j * dirac.GAMMA[3]
-    mid = (vertex_e @ electron_propagator(p - kp, policy=_EXACT) @ dirac.slash(ep)
-           + dirac.slash(ep) @ electron_propagator(pp + kp, policy=_EXACT) @ vertex_e)
-    return -e2 * formfactor(q) * spinors.bar_sandwich(up, mid, u)
+    return _static_two_propagator(up, u, pp + kp - p, p - kp, pp + kp, ep,
+                                  formfactor, alpha)
 
 
 def paircreation_me(p: FourVector, u: np.ndarray, p_plus: FourVector,
@@ -496,14 +501,8 @@ def paircreation_me(p: FourVector, u: np.ndarray, p_plus: FourVector,
     """Pair creation by a photon in a static potential; same two-propagator
     element with the legs relabeled (crossing): u-bar { eslash (k'-p+)-line
     e'slash + e'slash (p-k')-line eslash } u+."""
-    from . import dirac, spinors
-
-    e2 = 4.0 * math.pi * alpha
-    q = p + p_plus - kp
-    vertex_e = 1j * dirac.GAMMA[3]
-    mid = (vertex_e @ electron_propagator(kp - p_plus, policy=_EXACT) @ dirac.slash(ep)
-           + dirac.slash(ep) @ electron_propagator(p - kp, policy=_EXACT) @ vertex_e)
-    return -e2 * formfactor(q) * spinors.bar_sandwich(u, mid, u_plus)
+    return _static_two_propagator(u, u_plus, p + p_plus - kp, kp - p_plus, p - kp, ep,
+                                  formfactor, alpha)
 
 
 def soft_photon_factor(p: FourVector, pp: FourVector, kp: FourVector,
@@ -624,13 +623,3 @@ def line_shape(e0: float, en: float, de0: float, den: float,
     g = gamma0 + gamma_n
     detune = (e0 + de0) - (en + den) - k
     return (g / gamma0) / (detune**2 + 0.25 * g**2)
-
-
-def line_shape_peak(e0: float, en: float, de0: float, den: float) -> float:
-    """Maximum-intensity frequency: the level difference including shifts."""
-    return (e0 + de0) - (en + den)
-
-
-def line_shape_fwhm(gamma0: float, gamma_n: float) -> float:
-    """Full width at half maximum: the sum of the two level widths."""
-    return gamma0 + gamma_n

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .dirac import ALPHA, BETA, GAMMA, I4, slash, spur
+from .dirac import ALPHA, BETA, GAMMA, I4, slash
 from .errors import DomainError
 from .kinematics import ElectronState, electron_from_energy
 
@@ -80,11 +80,6 @@ def spin_sum_direct(O: np.ndarray, P: np.ndarray, state: ElectronState, sign: in
     """The same sum evaluated term by term over the two returned spinors."""
     ua, ub = plane_wave_spinors(state, sign)
     return sum(bar_sandwich(s, O, u) * bar_sandwich(u, P, r) for u in (ua, ub))
-
-
-def spur_spin_sum(Q: np.ndarray) -> complex:
-    """sum over all four states of eps (ubar Q u) = Spur Q."""
-    return spur(Q)
 
 
 def completeness_matrix(state: ElectronState) -> np.ndarray:

@@ -33,8 +33,6 @@ PSI = "psi"
 PHOTON = "photon"
 EXTERNAL_POTENTIAL = "ext_potential"   # classical factor, never paired
 
-FERMION_KINDS = (PSI_BAR, PSI)
-
 PHOTON_LINE_FACTOR = "1/k^2"
 ELECTRON_LINE_FACTOR = "1/(kslash - i mu)"
 VERTEX_FACTOR = "(2 pi)^4 delta4(k1 + k2 + k3)"
@@ -55,9 +53,6 @@ class OperatorProduct:
 
     def __init__(self, factors):
         self.factors = [f if isinstance(f, Factor) else Factor(*f) for f in factors]
-
-    def __len__(self):
-        return len(self.factors)
 
     @classmethod
     def current_product(cls, n_vertices: int) -> "OperatorProduct":
@@ -314,22 +309,6 @@ def order2_external_potential_graphs():
         if len(pairing.fermion_pairs) != 2:
             continue
         out.append(to_graph(pairing, prod, sign))
-    return out
-
-
-def full_photon_pairings(n_photons: int):
-    """Complete pairings of 2n photon factors at distinct vertices; there
-    are (2n-1)!! of them."""
-    prod = OperatorProduct.photons(n_photons)
-    return [p for p, _ in enumerate_pairings(prod)
-            if len(p.photon_pairs) * 2 == n_photons]
-
-
-def double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
     return out
 
 

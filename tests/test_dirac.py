@@ -15,7 +15,7 @@ def rand_vec():
 
 
 def test_gamma4_is_diag_1_1_m1_m1():
-    g4 = dirac.gamma_matrix("dyson", 4)
+    g4 = dirac.gammas("dyson")[3]
     assert np.array_equal(g4, np.diag([1, 1, -1, -1]).astype(complex))
 
 
@@ -42,12 +42,11 @@ def test_feynman_spatial_gammas_antihermitian():
 
 
 def test_invalid_indices_raise():
+    # Dyson's time gamma is gamma4, Feynman's gamma0; neither table has the other
+    assert "gamma0" not in dirac.build_matrices("dyson")
+    assert "gamma4" not in dirac.build_matrices("feynman")
     with pytest.raises(DomainError):
-        dirac.gamma_matrix("dyson", 0)
-    with pytest.raises(DomainError):
-        dirac.gamma_matrix("feynman", 4)
-    with pytest.raises(DomainError):
-        dirac.gamma_matrix("weyl", 1)
+        dirac.gammas("weyl")
 
 
 def test_slash_zero_vector():
@@ -203,7 +202,7 @@ def test_named_matrix_counts_and_distinct_labels():
 
 
 def test_tables_are_built_once_and_read_only():
-    assert dirac.gammas("feynman")[0] is dirac.gamma_matrix("feynman", 1)
+    assert dirac.gammas("feynman")[0] is dirac.gammas("FEYNMAN")[0]
     assert dirac.gammas()[3] is dirac.GAMMA[3]
     with pytest.raises(ValueError):
         dirac.gammas("dyson")[0][0, 0] = 1.0

@@ -104,7 +104,7 @@ def test_series_coefficients_solve_odes():
     # check the truncated series against the differential system at small r
     qn = hyd.DiracQuantumNumbers(1, -1)
     energy = hyd.dirac_energy(qn, ALPHA).energy * 0.9998
-    eps, cs, ds, _ = hyd.series_coefficients(qn, ALPHA, energy, 12)
+    eps, cs, ds = hyd.series_coefficients(qn, ALPHA, energy, 12)
     a1, a2, a = hyd._rate_constants(energy)
     r = 1e-4 / a
     powers = r ** (eps + np.arange(len(cs)))
@@ -208,7 +208,7 @@ def _outward_by_ode(qn, alpha, energy):
     """(f, g) at the match point r = 1/a by LSODA outward from r0 = 1e-3/a,
     started on 30 series terms: the outward route the series sum replaced."""
     a1, a2, a = hyd._rate_constants(energy)
-    eps, cs, ds, _ = hyd.series_coefficients(qn, alpha, energy, nterms=30)
+    eps, cs, ds = hyd.series_coefficients(qn, alpha, energy, nterms=30)
     r0 = 1e-3 / a
     powers = r0 ** (eps + np.arange(len(cs)))
     y0 = (float(cs @ powers), float(ds @ powers))
@@ -265,22 +265,26 @@ def test_decaying_series_solves_the_radial_system(k, energy):
 
 
 def _inward_from_leading_order(qn, alpha, energy):
-    """(f, g) at the match point r = 1/a by LSODA inward from rho = 40, started
-    on the leading-order ratio g/f = sqrt(a1/a2): the inward route the
-    asymptotic series replaced."""
+    """(f, g) at the match point r = 1/a by LSODA inward from rho =
+    max(40, 6 sigma), sigma = alpha E / a, started on the leading-order ratio
+    g/f = sqrt(a1/a2): the inward route the asymptotic series replaced, whose
+    start was rho = 40 (the same wherever sigma < 6.7)."""
     a1, a2, a = hyd._rate_constants(energy)
-    return numerics.ode_endpoint(hyd._radial_rhs(alpha, qn.k, a1, a2, a), (40.0 / a, 1.0 / a),
+    rho_far = max(40.0, 6.0 * alpha * energy / a)
+    return numerics.ode_endpoint(hyd._radial_rhs(alpha, qn.k, a1, a2, a), (rho_far / a, 1.0 / a),
                                  (1.0, math.sqrt(a1 / a2)), what="inward radial integration",
                                  rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("alpha", [MODERN.alpha, ERA_1951.alpha], ids=["modern", "1951"])
 def test_inward_start_agrees_with_leading_order_start(alpha):
-    # N <= 4 only: at N = 5 and E(1 + 1e-6) sigma is about 20 and rho = 40 is
-    # too close for the old start, which is then off by up to 3e-2
-    for qn in _levels_up_to(4):
+    # at N = 5 and E(1 + 1e-6) sigma is about 20, where a start at rho = 40
+    # would be off by up to 3e-2 and a fixed one at rho = 150 misses 1e-8 at N = 6
+    for qn in _levels_up_to(6):
         exact = hyd.dirac_energy(qn, alpha).energy
         for energy in (exact, exact * (1.0 - 1e-6), exact * (1.0 + 1e-6), exact * 0.9999):
+            if not energy < 1.0:
+                continue
             f_old, g_old = _inward_from_leading_order(qn, alpha, energy)
             f, g = hyd._inward_at_match(qn, alpha, energy)
             norm = math.hypot(f, g) * math.hypot(f_old, g_old)

@@ -8,6 +8,7 @@ import pytest
 import qed51
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def test_import_leaves_numpy_unloaded(tmp_path):
@@ -113,6 +114,14 @@ def test_star_import_and_from_import():
     from qed51 import radiative
     assert radiative is qed51.radiative
     assert namespace["dirac"].DYSON == "dyson"
+
+
+def test_readme_library_example_runs():
+    # every ```python block of the README, so a name it uses cannot go unnoticed
+    blocks = README.read_text().split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(block.split("```")[0], {})
 
 
 def test_unknown_attribute_raises():

@@ -46,9 +46,12 @@ def test_moller_dcs_matches_mpmath_references(gamma, deg, ref):
 
 def test_moller_spin_term_vanishes_nonrelativistically():
     for gamma, bound in ((1.01, 2e-4), (1.001, 2e-6)):
-        full = pr.moller_dcs(gamma, 0.4, ALPHA, spin_resolved=True)
-        spinless = pr.moller_dcs(gamma, 0.4, ALPHA, spin_resolved=False)
-        assert abs(full - spinless) / full < bound
+        # the spin term 2 (gamma+1)/(gamma^2 beta^4) ((gamma-1)/2gamma)^2 (1 + 4/(1 - x^2))
+        beta2 = 1.0 - 1.0 / gamma**2
+        x = moller_cm_angle(gamma, 0.4)
+        spin = (2.0 * (gamma + 1.0) / (gamma**2 * beta2**2)
+                * ((gamma - 1.0) / (2.0 * gamma)) ** 2 * (1.0 + 4.0 / (1.0 - x * x)))
+        assert spin / pr.moller_dcs(gamma, 0.4, ALPHA) < bound
 
 
 def test_moller_exchange_symmetry_in_x():
@@ -229,6 +232,10 @@ def test_compton_amplitude_requires_rest_and_physical_polarization():
     with pytest.raises(DomainError):
         bad = FourVector(0, 0, 1, 0)  # longitudinal
         pr.compton_amplitude(p, k, bad, kp, ep, u, up, ALPHA)
+    with pytest.raises(DomainError):
+        pr.compton_amplitude(p, k, FourVector(2, 0, 0, 0), kp, ep, u, up, ALPHA)  # not unit
+    with pytest.raises(DomainError):
+        pr.compton_amplitude(p, FourVector(0, 0, 1, 2), e, kp, ep, u, up, ALPHA)  # off the light cone
 
 
 def test_kn_classical_limit():
@@ -463,7 +470,7 @@ def test_soft_photon_exact_residual_identity():
 
 
 def test_bremsstrahlung_gauge_invariance():
-    ff = lambda q: 1.0 / max(q.space_dot(q), 1e-30)
+    ff = lambda q: 1.0 / max(q.x1**2 + q.x2**2 + q.x3**2, 1e-30)
     p, u, pp, up, kp, ep = _soft_setup(0.4, 1e-2)
     scale = abs(pr.bremsstrahlung_me(p, u, pp, up, kp, ep, ff, ALPHA))
     ward = abs(pr.bremsstrahlung_me(p, u, pp, up, kp, kp, ff, ALPHA))
@@ -543,21 +550,21 @@ def test_line_shape_peak_location():
     ks = np.linspace(3.5, 4.5, 20001)
     vals = [pr.line_shape(e0, en, de0, den, g0, gn, k) for k in ks]
     k_peak = ks[int(np.argmax(vals))]
-    expect = pr.line_shape_peak(e0, en, de0, den)
+    expect = (e0 + de0) - (en + den)  # the level difference including shifts
     assert abs(k_peak - expect) < (ks[1] - ks[0]) * 1.5
 
 
 def test_line_shape_fwhm():
     e0, en, de0, den = 5.0, 1.0, 0.0, 0.0
     g0, gn = 0.04, 0.02
-    peak_k = pr.line_shape_peak(e0, en, de0, den)
+    peak_k = e0 - en
     peak_val = pr.line_shape(e0, en, de0, den, g0, gn, peak_k)
     from scipy.optimize import brentq
     half = peak_val / 2.0
     f = lambda k: pr.line_shape(e0, en, de0, den, g0, gn, k) - half
     lo = brentq(f, peak_k - 10 * (g0 + gn), peak_k)
     hi = brentq(f, peak_k, peak_k + 10 * (g0 + gn))
-    assert abs((hi - lo) / pr.line_shape_fwhm(g0, gn) - 1.0) < 1e-6
+    assert abs((hi - lo) / (g0 + gn) - 1.0) < 1e-6  # the sum of the two widths
 
 
 def test_line_shape_total_integral_scales_with_upper_width():

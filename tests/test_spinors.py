@@ -151,7 +151,7 @@ def test_spur_version_of_spin_sum():
     for sign in (+1, -1):
         for u in spinors.plane_wave_spinors(st, sign):
             total += sign * (spinors.adjoint(u) @ Q @ u)
-    assert abs(total - spinors.spur_spin_sum(Q)) < 1e-10
+    assert abs(total - dirac.spur(Q)) < 1e-10
 
 
 def test_mott_spin_factor_formula_point():

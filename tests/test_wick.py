@@ -41,9 +41,11 @@ def test_fermion_pairs_join_bar_with_psi():
 
 
 def test_photon_double_factorial_counts():
+    # complete pairings of 2n photon factors at distinct vertices: (2n-1)!!
     for n in (1, 2, 3, 4):
-        full = wick.full_photon_pairings(2 * n)
-        assert len(full) == wick.double_factorial(2 * n - 1)
+        pairings = wick.enumerate_pairings(wick.OperatorProduct.photons(2 * n))
+        full = sum(len(p.photon_pairs) == n for p, _ in pairings)
+        assert full == math.prod(range(2 * n - 1, 0, -2))
 
 
 def test_pairing_count_convolution_identity():
@@ -225,7 +227,7 @@ def _nested_loop_reference(prod):
     psis = [i for i, f in enumerate(factors) if f.kind == wick.PSI]
     photons = [i for i, f in enumerate(factors) if f.kind == wick.PHOTON]
     vertices = {i: f.vertex for i, f in enumerate(factors)}
-    fermion_slots = [i for i, f in enumerate(factors) if f.kind in wick.FERMION_KINDS]
+    fermion_slots = [i for i, f in enumerate(factors) if f.kind in (wick.PSI_BAR, wick.PSI)]
 
     fermion_options = [()]
     for size in range(1, min(len(bars), len(psis)) + 1):
