@@ -90,7 +90,7 @@ def _rate_constants(energy: float):
 def _series_terms(k: int, alpha: float, eps: float, a1: float, a: float):
     """The printed two-term recursion: yield (c_s, d_s) for s = eps, eps+1,
     ... without end, the coefficients of the regular radial solution
-    f = sum c_s r^s, g = sum d_s r^s, each through e_s = a1 c_{s-1} - a d_{s-1}."""
+    f = sum c_s r^s, g = sum d_s r^s, both multiples of e_s = a1 c_{s-1} - a d_{s-1}."""
     c, d = eps + k, alpha
     i = 0
     while True:
