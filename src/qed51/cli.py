@@ -247,18 +247,21 @@ def cmd_o16(args, config: RunConfig) -> Table:
 
     delta_e = _strip_unit(args.deltaE, "mev")
     r0 = _strip_unit(args.r0, "cm")
+    fixed = "o16 uses fixed rounded constants, so --constants and --alpha do not apply"
     if args.spectrum:
-        # the shape depends on dE alone, so Z and r0 are read but unused
         de_nat = delta_e / O16_MC2_MEV
         grid = _linspace(0.0, de_nat, 13)[1:-1]
         rows = [[e1, processes.o16_pair_spectrum(e1, math.pi / 3.0, de_nat)] for e1 in grid]
         return Table("Pair spectrum shape at theta = 60 deg (E1 in mc^2, unnormalized)",
-                     ["E1", "w"], rows, meta={"deltaE_mc2": de_nat})
+                     ["E1", "w"], rows, meta={
+                         "deltaE_mc2": de_nat,
+                         "note": f"{fixed}; the shape depends on --deltaE alone"})
     rows = [["lifetime (rounded chain)", processes.o16_lifetime(delta_e, r0, args.Z, "rounded"), "s"],
             ["lifetime (exact inputs)", processes.o16_lifetime(delta_e, r0, args.Z, "exact"), "s"],
             ["total rate", processes.o16_total_rate(delta_e, r0, args.Z), "1/s"]]
     return Table(f"Monopole pair emission (dE = {delta_e} MeV, r0 = {r0} cm, Z = {args.Z})",
-                 ["quantity", "value", "unit"], rows)
+                 ["quantity", "value", "unit"], rows,
+                 meta={"note": f"{fixed}; the rounded-chain lifetime depends on --r0 only"})
 
 
 def cmd_vacpol(args, config: RunConfig) -> Table:

@@ -27,6 +27,8 @@ RYDBERG_HZ = 3.289842e15
 MC2_HZ_MODERN = 1.235590e20
 # Speed of light in cm/s (exact by the SI definition of the metre).
 C_CM_S = 2.99792458e10
+# Planck constant h in MeV s (the exact SI value, rounded to ten digits).
+H_MEV_S = 4.135667696e-21
 
 # Names of the two Dirac-matrix conventions (qed51.dirac re-exports them);
 # kept here so that code naming a convention need not import numpy.
@@ -65,8 +67,8 @@ class Constants:
 
     @property
     def mc2_mev(self) -> float:
-        """Electron rest energy in MeV (via h = 4.135667696e-15 eV s)."""
-        return self.mc2_hz * 4.135667696e-21
+        """Electron rest energy in MeV: h (H_MEV_S) times mc2_hz."""
+        return self.mc2_hz * H_MEV_S
 
     @property
     def r0_cm(self) -> float:

@@ -39,7 +39,8 @@ def _draws(count: int, size: int):
 
 PAIRS = (
     *(Pair(f"{conv} summary table", lambda *_: 0.0,
-           lambda conv, a: dirac.verify_identity_tables(conv).max_deviation, (conv,), 1e-12)
+           lambda conv, a: dirac.verify_identity_tables(conv).max_deviation, (conv,),
+           dirac.TOL_TABLE)
       for conv in (dirac.DYSON, dirac.FEYNMAN)),
     Pair("contraction identities vs explicit sum",
          lambda draws, a: np.array([dirac.contracted_sandwich(v) for v in draws]),

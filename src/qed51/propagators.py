@@ -23,7 +23,6 @@ if TYPE_CHECKING:
     from .kinematics import FourVector
 
 QUAD_TOL = 1e-10
-PV_HALF_WIDTH = 1e-6   # principal_value's excision half-width around the pole
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,9 @@ def electron_propagator(k: FourVector,
 
 
 def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
-    """int_0^1 dz [a z + b (1-z)]^-2, evaluated by adaptive quadrature, or by
-    Gauss-Legendre for real endpoints of one sign in exact mode.
-
-    Equals 1/(a b) when the segment from b to a avoids the origin.
-    """
+    """Quadrature oracle of 1/(a b): int_0^1 dz [a z + b (1-z)]^-2 by adaptive
+    quadrature, or by Gauss-Legendre for real endpoints of one sign in exact
+    mode.  Equals 1/(a b) when the segment from b to a avoids the origin."""
     import numpy as np
 
     a, b = complex(a), complex(b)
@@ -98,7 +95,8 @@ def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
 
 
 def feynman_combine3(a, b, c, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
-    """2 int_0^1 dx int_0^1 x dy [a(1-x) + b x y + c x (1-y)]^-3 = 1/(a b c)."""
+    """Quadrature oracle of 1/(a b c): the nested adaptive quadrature
+    2 int_0^1 dx int_0^1 x dy [a(1-x) + b x y + c x (1-y)]^-3 = 1/(a b c)."""
     a, b, c = complex(a), complex(b), complex(c)
     if policy.exact and all(v.imag == 0.0 for v in (a, b, c)):
         reals = [v.real for v in (a, b, c)]
@@ -107,8 +105,6 @@ def feynman_combine3(a, b, c, policy: IEpsilonPolicy = DEFAULT_POLICY) -> comple
     shift = 0.0 if policy.exact else -1j * policy.epsilon
 
     def inner(x):
-        if x == 0.0:
-            return 0.0 + 0.0j
         return numerics.quad_complex(
             lambda y: x / (a * (1 - x) + b * x * y + c * x * (1 - y) + shift) ** 3,
             0.0, 1.0, tol=1e-6, what="quadrature", limit=200)
@@ -188,18 +184,20 @@ def divergent_photon_integral() -> CutoffQuantity:
 
 
 def principal_value(f, a: float, b: float, pole: float) -> float:
-    """Cauchy principal value of int_a^b f by symmetric excision around the
-    pole, with a Richardson consistency check at half the excision width."""
+    """Cauchy principal value of int_a^b f, where f carries a simple pole inside
+    (a, b); either end may be infinite.  The part of [a, b] symmetric about the
+    pole folds onto [0, w], where f(pole + t) + f(pole - t) is bounded; it and
+    the one-sided rest are two checked quadratures."""
     if not a < pole < b:
         raise DomainError("pole must lie strictly inside the interval")
+    what = "principal-value quadrature"
 
-    def excised(h):
-        what = "principal-value quadrature"
-        return (numerics.quad(f, a, pole - h, tol=1e-7, what=what, limit=400)
-                + numerics.quad(f, pole + h, b, tol=1e-7, what=what, limit=400))
+    def folded(t):
+        if pole - t == pole or pole + t == pole:   # a node within rounding of the pole
+            raise NumericError(f"{what} sampled the pole itself")
+        return f(pole + t) + f(pole - t)
 
-    v1 = excised(PV_HALF_WIDTH)
-    v2 = excised(PV_HALF_WIDTH / 2.0)
-    if abs(v2 - v1) > 1e-5 * max(1.0, abs(v2)):
-        raise NumericError("principal value did not stabilize under excision refinement")
-    return v2
+    w = min(pole - a, b - pole)
+    lo, hi = (a, pole - w) if pole - a > w else (pole + w, b)
+    rest = numerics.quad(f, lo, hi, tol=1e-7, what=what, limit=400) if lo < hi else 0.0
+    return numerics.quad(folded, 0.0, w, tol=1e-7, what=what, limit=400) + rest

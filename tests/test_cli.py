@@ -282,6 +282,14 @@ def test_wick_count_second_order():
     assert rows["order-2 external-potential graphs"] == "9"
 
 
+def test_wick_count_current7():
+    # 14,810,880 pairings, counted in about 0.08 s only because none is built
+    # (test_counting_current6_builds_no_pairing checks that)
+    code, out = run(["wick", "count", "--product", "current^7", "--format", "csv"])
+    assert code == 0
+    assert out == "quantity,count\npairings (normal constituents),14810880\n"
+
+
 @pytest.mark.parametrize("product, limit", [("current^8", "<= 7"), ("photons:13", "<= 12")])
 def test_wick_product_size_limit_exits_two(product, limit, capsys):
     code = cli.main(["wick", "count", "--product", product])
@@ -356,6 +364,17 @@ def test_o16_unit_suffix_parsing():
     assert code == 0
     rows = {r[0]: r[1] for r in csv.reader(io.StringIO(out))}
     assert abs(float(rows["lifetime (rounded chain)"]) / 1.136e-13 - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("extra, depends", [([], "the rounded-chain lifetime depends on --r0 only"),
+                                            (["--spectrum"], "the shape depends on --deltaE alone")])
+def test_o16_notes_what_it_ignores(extra, depends):
+    # the note goes to text and JSON; csv carries no meta, so it is unchanged
+    note = json.loads(run(["o16", "--format", "json"] + extra)[1])["meta"]["note"]
+    assert note == ("o16 uses fixed rounded constants, so --constants and --alpha "
+                    f"do not apply; {depends}")
+    assert run(["o16"] + extra)[1].endswith(f"# note: {note}\n")
+    assert "note" not in run(["o16", "--format", "csv"] + extra)[1]
 
 
 @pytest.mark.parametrize("extra", [["--Z", "0"], ["--r0", "0cm"]])

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -81,6 +82,22 @@ print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [f"0 True {argv}" for argv in SCALAR_ARGV] + ["[]"]
 
+
+
+def test_numerics_is_the_only_module_importing_scipy():
+    # at module level or inside a function: numerics is the one scipy interface
+    importers = set()
+    for path in (SRC / "qed51").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"numerics.py"}
 
 def test_radiative_leaves_hydrogen_unloaded(tmp_path):
     # the spectroscopic letters live in qed51.constants, so lamb, uehling,

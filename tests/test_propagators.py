@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from qed51 import numerics
 from qed51 import propagators as prop
 from qed51.dirac import slash
-from qed51.errors import DomainError, PoleError
+from qed51.errors import DomainError, NumericError, PoleError
 from qed51.kinematics import FourVector
 
 EXACT = prop.IEpsilonPolicy.exact_limit()
@@ -201,6 +203,42 @@ def test_principal_value_with_smooth_numerator():
     right, _ = si.quad(lambda x: math.cos(x) / (x - 0.5), 0.5 + h, 1.0, limit=400)
     assert abs(val - (left + right)) < 1e-4
 
+
+
+# closed forms: cos x/(x - 1/2) is cos(1/2) cos u/u - sin(1/2) sin u/u with
+# u = x - 1/2, whose even part has no principal value; e^x/(x - p) gives
+# e^p (Ei(b - p) - Ei(a - p)); e^(-x^2)/x is odd, so only the one-sided rest
+# (-inf, -1] counts; 1/((x - p)(1 + x^2)) over the whole line is all fold
+@pytest.mark.parametrize("f, a, b, pole, exact", [
+    (lambda x: math.cos(x) / (x - 0.5), 0.0, 1.0, 0.5,
+     -2.0 * math.sin(0.5) * special.sici(0.5)[0]),
+    (lambda x: math.exp(x) / (x - 1.7), -1.0, 3.0, 1.7,
+     math.exp(1.7) * (special.expi(1.3) - special.expi(-2.7))),
+    (lambda x: math.exp(-x * x) / x, -math.inf, 1.0, 0.0, -special.exp1(1.0) / 2.0),
+    (lambda x: 1.0 / ((x - 0.3) * (1.0 + x * x)), -math.inf, math.inf, 0.3,
+     -math.pi * 0.3 / 1.09),
+], ids=["cos", "exp", "gauss-infinite-end", "lorentz-whole-line"])
+def test_principal_value_closed_forms(f, a, b, pole, exact):
+    assert abs(prop.principal_value(f, a, b, pole) - exact) < 1e-12
+
+
+@pytest.mark.parametrize("f, a, b, pole", [
+    # a double pole has no principal value: its fold 2/t^2 diverges
+    (lambda x: 1.0 / (x - 0.4) ** 2, 0.0, 1.0, 0.4),
+    # near 1e15 the doubles are 0.125 apart, so pole +- t rounds to the pole
+    (lambda x: 1.0 / (x - 1e15), 1e15 - 1.0, 1e15 + 1.0, 1e15),
+], ids=["double-pole", "node-rounds-to-pole"])
+def test_principal_value_failure_is_numeric_error(f, a, b, pole):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            prop.principal_value(f, a, b, pole)
+
+
+def test_principal_value_pole_must_be_inside():
+    for pole in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError):
+            prop.principal_value(lambda x: 1.0 / (x - pole), 0.0, 1.0, pole)
 
 def test_iepsilon_policy_validation():
     with pytest.raises(DomainError):
