@@ -83,7 +83,6 @@ print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
     assert res.stdout.splitlines() == [f"0 True {argv}" for argv in SCALAR_ARGV] + ["[]"]
 
 
-
 def test_numerics_is_the_only_module_importing_scipy():
     # at module level or inside a function: numerics is the one scipy interface
     importers = set()
@@ -98,6 +97,7 @@ def test_numerics_is_the_only_module_importing_scipy():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 importers.add(path.name)
     assert importers == {"numerics.py"}
+
 
 def test_radiative_leaves_hydrogen_unloaded(tmp_path):
     # the spectroscopic letters live in qed51.constants, so lamb, uehling,

@@ -204,11 +204,10 @@ def test_principal_value_with_smooth_numerator():
     assert abs(val - (left + right)) < 1e-4
 
 
-
 # closed forms: cos x/(x - 1/2) is cos(1/2) cos u/u - sin(1/2) sin u/u with
 # u = x - 1/2, whose even part has no principal value; e^x/(x - p) gives
 # e^p (Ei(b - p) - Ei(a - p)); e^(-x^2)/x is odd, so only the one-sided rest
-# (-inf, -1] counts; 1/((x - p)(1 + x^2)) over the whole line is all fold
+# (-inf, -1] counts; 1/((x - p)(1 + x^2)) over the whole line is all fold, -pi p/(1 + p^2)
 @pytest.mark.parametrize("f, a, b, pole, exact", [
     (lambda x: math.cos(x) / (x - 0.5), 0.0, 1.0, 0.5,
      -2.0 * math.sin(0.5) * special.sici(0.5)[0]),
@@ -239,6 +238,7 @@ def test_principal_value_pole_must_be_inside():
     for pole in (0.0, 1.0, 1.5):
         with pytest.raises(DomainError):
             prop.principal_value(lambda x: 1.0 / (x - pole), 0.0, 1.0, pole)
+
 
 def test_iepsilon_policy_validation():
     with pytest.raises(DomainError):
