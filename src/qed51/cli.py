@@ -533,12 +533,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        constants = getattr(args, "constants", None)
-        profile = get_profile(constants) if constants else None
-        config = RunConfig(output_format=getattr(args, "format", "text"),
+        profile = (getattr(args, "constants", None)
+                   or os.environ.get("QED51_CONSTANTS", "modern"))
+        config = RunConfig(constants=get_profile(profile),
+                           output_format=getattr(args, "format", "text"),
                            units=getattr(args, "units", "natural"),
-                           alpha_override=getattr(args, "alpha", None),
-                           **({"constants": profile} if profile else {}))
+                           alpha_override=getattr(args, "alpha", None))
         table = HANDLERS[args.command](args, config)
         emit(table, config)
         sys.stdout.flush()

@@ -16,9 +16,8 @@ Two profiles are shipped:
 from __future__ import annotations
 
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -92,7 +91,7 @@ PROFILES = {"modern": MODERN, "1951": ERA_1951}
 
 # The CLI's --format and --units choices, in --help order.
 FORMATS = ("csv", "json", "text")
-UNITS = ("natural", "SI", "MeV", "megacycles")
+UNITS = ("natural", "SI", "MeV")
 
 
 def get_profile(name: str) -> Constants:
@@ -101,11 +100,6 @@ def get_profile(name: str) -> Constants:
     except KeyError:
         raise DomainError(f"unknown constants profile {name!r}; "
                           f"choose one of {sorted(PROFILES)}") from None
-
-
-def default_profile() -> Constants:
-    """The CLI's profile, named by QED51_CONSTANTS ("modern" if unset)."""
-    return get_profile(os.environ.get("QED51_CONSTANTS", "modern"))
 
 
 def check_alpha(alpha: float) -> None:
@@ -118,10 +112,10 @@ def check_alpha(alpha: float) -> None:
 class RunConfig:
     """CLI run configuration."""
 
-    constants: Constants = field(default_factory=default_profile)
+    constants: Constants = MODERN
     alpha_override: float | None = None
     output_format: str = "text"     # csv | json | text
-    units: str = "natural"          # natural | SI | MeV | megacycles
+    units: str = "natural"          # natural | SI | MeV
 
     def __post_init__(self):
         alpha = self.alpha

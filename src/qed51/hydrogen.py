@@ -76,7 +76,7 @@ def fine_structure_expansion(big_n: int, k: int, alpha: float) -> float:
 SERIES_MAX_TERMS = 200
 _ROUNDING = 2.0**-53  # unit roundoff of a double
 # An asymptotic sum whose largest term is this many times the sum is accurate
-# to no better than about 1e-13, short of the inward solve's rtol of 1e-12.
+# to no better than about 1e-13, short of the inward solve's tol of 1e-12.
 _MAX_CANCELLATION = 1e3
 
 
@@ -279,7 +279,7 @@ def _inward_at_match(qn: DiracQuantumNumbers, alpha: float, energy: float) -> tu
     r_far = (20.0 + 0.25 * (alpha * energy / a) ** 2) / a
     return numerics.ode_endpoint(_radial_rhs(alpha, qn.k, a1, a2, a), (r_far, 1.0 / a),
                                  _decaying_at(qn, alpha, energy, r_far),
-                                 what="inward radial integration", rtol=1e-12, atol=1e-300)
+                                 tol=1e-12, what="inward radial integration")
 
 
 def _shoot_mismatch(qn: DiracQuantumNumbers, alpha: float, energy: float) -> float:

@@ -311,7 +311,7 @@ def thomson_total_numeric() -> float:
     at eps = 0, the Thomson limit."""
     return numerics.quad(
         lambda th: kn_dcs(0.0, th, unpolarized=True) * math.sin(th) * TWO_PI,
-        0.0, math.pi, tol=1e-8, what="Thomson solid-angle integral", limit=200)
+        0.0, math.pi, tol=1e-8, what="Thomson solid-angle integral")
 
 
 # ---------------------------------------------------------------------------

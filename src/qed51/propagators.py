@@ -22,9 +22,6 @@ if TYPE_CHECKING:
 
     from .kinematics import FourVector
 
-QUAD_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class IEpsilonPolicy:
     """Finite i-epsilon displacement, or exact-limit mode which raises on poles."""
@@ -42,6 +39,8 @@ class IEpsilonPolicy:
 
 
 DEFAULT_POLICY = IEpsilonPolicy()
+_CROSSING = ("combination denominator crosses zero; supply an i-epsilon "
+             "far above the default, such as 1e-3")
 
 
 def photon_propagator(k: FourVector, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
@@ -72,14 +71,16 @@ def electron_propagator(k: FourVector,
 def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
     """Quadrature oracle of 1/(a b): int_0^1 dz [a z + b (1-z)]^-2 by adaptive
     quadrature, or by Gauss-Legendre for real endpoints of one sign in exact
-    mode.  Equals 1/(a b) when the segment from b to a avoids the origin."""
+    mode.  Equals 1/(a b) when the segment from b to a avoids the origin.
+    A segment through the origin needs an i-epsilon far above the default
+    (1e-3 converges, 1e-9 raises NumericError); exact mode raises PoleError."""
     import numpy as np
 
     a, b = complex(a), complex(b)
     if policy.exact and a.imag == 0.0 and b.imag == 0.0:
         # segment a z + b (1-z) crosses zero iff the endpoints differ in sign
         if a.real == 0.0 or b.real == 0.0 or (a.real > 0) != (b.real > 0):
-            raise PoleError("combination denominator crosses zero; supply an i-epsilon")
+            raise PoleError(_CROSSING)
         # along the segment D = b r^u with r = a/b, so dz/D^2 = log(r)/(a-b) du/D,
         # smooth in u for any ratio (du/b^2 when a = b)
         ar, br = a.real, b.real
@@ -91,26 +92,27 @@ def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
                                       tol=1e-6, what="quadrature"))
     shift = 0.0 if policy.exact else -1j * policy.epsilon
     return numerics.quad_complex(lambda z: 1.0 / (a * z + b * (1.0 - z) + shift) ** 2,
-                                 0.0, 1.0, tol=1e-6, what="quadrature", limit=200)
+                                 0.0, 1.0, tol=1e-8, what="quadrature")
 
 
 def feynman_combine3(a, b, c, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
     """Quadrature oracle of 1/(a b c): the nested adaptive quadrature
-    2 int_0^1 dx int_0^1 x dy [a(1-x) + b x y + c x (1-y)]^-3 = 1/(a b c)."""
+    2 int_0^1 dx int_0^1 x dy [a(1-x) + b x y + c x (1-y)]^-3 = 1/(a b c).
+    Real a, b, c of both signs need an i-epsilon far above the default (1e-3
+    converges, 1e-9 raises NumericError); exact mode raises PoleError."""
     a, b, c = complex(a), complex(b), complex(c)
     if policy.exact and all(v.imag == 0.0 for v in (a, b, c)):
         reals = [v.real for v in (a, b, c)]
         if any(v == 0.0 for v in reals) or (max(reals) > 0) != (min(reals) > 0):
-            raise PoleError("combination denominator crosses zero; supply an i-epsilon")
+            raise PoleError(_CROSSING)
     shift = 0.0 if policy.exact else -1j * policy.epsilon
 
     def inner(x):
         return numerics.quad_complex(
             lambda y: x / (a * (1 - x) + b * x * y + c * x * (1 - y) + shift) ** 3,
-            0.0, 1.0, tol=1e-6, what="quadrature", limit=200)
+            0.0, 1.0, tol=1e-8, what="quadrature")
 
-    return 2.0 * numerics.quad_complex(inner, 0.0, 1.0, tol=1e-6,
-                                       what="2-D quadrature", limit=200)
+    return 2.0 * numerics.quad_complex(inner, 0.0, 1.0, tol=1e-8, what="2-D quadrature")
 
 
 def loop_integral_I(lam: float) -> complex:
@@ -143,8 +145,7 @@ def loop_log_difference_quadrature(lam: float, lam_prime: float) -> complex:
         raise DomainError("Lambda values must be positive")
     val = numerics.quad(
         lambda k: k**3 * (1.0 / (k**2 + lam) ** 2 - 1.0 / (k**2 + lam_prime) ** 2),
-        0.0, math.inf, tol=1e-8, what="radial loop quadrature",
-        limit=200, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
+        0.0, math.inf, tol=1e-10, what="radial loop quadrature")
     return 2j * math.pi**2 * val
 
 
@@ -199,5 +200,5 @@ def principal_value(f, a: float, b: float, pole: float) -> float:
 
     w = min(pole - a, b - pole)
     lo, hi = (a, pole - w) if pole - a > w else (pole + w, b)
-    rest = numerics.quad(f, lo, hi, tol=1e-7, what=what, limit=400) if lo < hi else 0.0
-    return numerics.quad(folded, 0.0, w, tol=1e-7, what=what, limit=400) + rest
+    rest = numerics.quad(f, lo, hi, tol=1e-8, what=what) if lo < hi else 0.0
+    return numerics.quad(folded, 0.0, w, tol=1e-8, what=what) + rest

@@ -20,9 +20,6 @@ from .constants import ORBITAL_LETTERS, Constants
 from .errors import DomainError
 from .propagators import CutoffQuantity
 
-QUAD_EPS = 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Vacuum polarization.
 
@@ -121,8 +118,7 @@ def vacuum_polarization_quadrature(q2_over_mu2: float, alpha: float) -> float:
         return math.log(arg) if arg > 0 else 0.0
 
     integral = numerics.quad(lambda t: 2.0 * (1.0 - t * t) * log_term(1.0 - t * t), 0.0, 1.0,
-                             tol=1e-8, what="vacuum-polarization quadrature",
-                             limit=400, epsabs=QUAD_EPS, epsrel=1e-11)
+                             tol=1e-11, what="vacuum-polarization quadrature")
     return alpha / (4.0 * math.pi) * integral
 
 
@@ -164,7 +160,7 @@ def pair_creation_probability_power_route(e2_pol: float, q2: float, q0: float,
     # E(t) = -q0 e^2 [A sin(qx)cos(qx) + B sin^2(qx)]; average over a period.
     avg = numerics.quad(
         lambda s: -q0 * e2_pol * b_coeff * math.sin(s) ** 2 / (2.0 * math.pi),
-        0.0, 2.0 * math.pi, tol=1e-8, what="pair-creation power average", limit=100)
+        0.0, 2.0 * math.pi, tol=1e-8, what="pair-creation power average")
     return avg / q0
 
 
@@ -264,9 +260,8 @@ def k_integral_radial(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
         term3 = c_third * (base / 3.0 - 0.5 / root**5 + (5.0 / 6.0) / root**7)
         return k * k * (term1 + term2 + term3)
 
-    val = numerics.quad(integrand, r_ir, math.inf, tol=1e-9,
-                        what="radial K-integral quadrature",
-                        limit=400, epsabs=QUAD_EPS, epsrel=1e-12)
+    val = numerics.quad(integrand, r_ir, math.inf, tol=1e-12,
+                        what="radial K-integral quadrature")
     return 1.5j * math.pi**2 * val
 
 
@@ -342,7 +337,7 @@ def _subtracted_lambda_integral(theta: float, scheme: str = "closed") -> float:
     The two oracle routes integrate the definitional integrand, with g from
     _coulomb_lambda_weight, in x = 1 - lam, so they check the algebra behind
     the closed form.  Neither evaluates the removable 0/0 at x = 0.
-    - "adaptive": QUADPACK (numerics.quad, tol 1e-8), for theta >= 1e-100;
+    - "adaptive": QUADPACK (numerics.quad, tol 1e-12), for theta >= 1e-100;
       below about 1e-120 it raises NumericError.
     - "gauss": numerics.gauss (tol 1e-10), for theta >= 0.1.  The integrand
       peaks at lam = 1 with a width of about theta, so below about 0.07 the
@@ -371,8 +366,7 @@ def _subtracted_lambda_integral(theta: float, scheme: str = "closed") -> float:
 
     what = "subtracted lambda integral"
     if scheme == "adaptive":
-        return numerics.quad(integrand, 0.0, 1.0, tol=1e-8, what=what,
-                             limit=400, epsabs=QUAD_EPS, epsrel=1e-12)
+        return numerics.quad(integrand, 0.0, 1.0, tol=1e-12, what=what)
     if scheme == "gauss":
         return numerics.gauss(integrand, 0.0, 1.0, tol=1e-10, what=what)
     raise DomainError(f"unknown quadrature scheme {scheme!r}")

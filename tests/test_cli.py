@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qed51 import cli, radiative, wick
+from qed51.constants import MODERN, RunConfig
 from qed51.errors import DomainError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -180,9 +181,10 @@ def test_grid_size_limit_is_inclusive(monkeypatch):
 
 
 def test_usage_error_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["xsec", "moller", "--bogus-flag", "1"])
-    assert exc.value.code == 1
+    for argv in (["xsec", "moller", "--bogus-flag", "1"], ["lamb", "--units", "megacycles"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
 
 
 def test_domain_error_exits_two():
@@ -213,6 +215,14 @@ def test_env_var_selects_profile():
             os.environ.pop("QED51_CONSTANTS", None)
         else:
             os.environ["QED51_CONSTANTS"] = old
+
+
+def test_library_ignores_env_var(monkeypatch):
+    # only cli.main reads QED51_CONSTANTS; an unknown name is its domain error
+    monkeypatch.setenv("QED51_CONSTANTS", "1951")
+    assert RunConfig().constants is MODERN
+    monkeypatch.setenv("QED51_CONSTANTS", "1900")
+    assert run(["moment"]) == (2, "")
 
 
 def test_wick_graph_dot_file(tmp_path):

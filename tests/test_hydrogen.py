@@ -213,7 +213,7 @@ def _outward_by_ode(qn, alpha, energy):
     powers = r0 ** (eps + np.arange(len(cs)))
     y0 = (float(cs @ powers), float(ds @ powers))
     return numerics.ode_endpoint(hyd._radial_rhs(alpha, qn.k, a1, a2, a), (r0, 1.0 / a), y0,
-                                 what="outward radial integration", rtol=1e-12, atol=1e-300)
+                                 tol=1e-12, what="outward radial integration")
 
 
 @pytest.mark.parametrize("alpha", [MODERN.alpha, ERA_1951.alpha], ids=["modern", "1951"])
@@ -272,8 +272,8 @@ def _inward_from_leading_order(qn, alpha, energy):
     a1, a2, a = hyd._rate_constants(energy)
     rho_far = max(40.0, 6.0 * alpha * energy / a)
     return numerics.ode_endpoint(hyd._radial_rhs(alpha, qn.k, a1, a2, a), (rho_far / a, 1.0 / a),
-                                 (1.0, math.sqrt(a1 / a2)), what="inward radial integration",
-                                 rtol=1e-12, atol=1e-300)
+                                 (1.0, math.sqrt(a1 / a2)), tol=1e-12,
+                                 what="inward radial integration")
 
 
 @pytest.mark.parametrize("alpha", [MODERN.alpha, ERA_1951.alpha], ids=["modern", "1951"])

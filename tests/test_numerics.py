@@ -114,25 +114,35 @@ def test_quad_returns_a_converged_value():
     assert abs(numerics.quad(math.sin, 0.0, math.pi, tol=1e-10, what="sine") - 2.0) < 1e-14
 
 
+def test_quad_asks_quadpack_for_tol():
+    # scipy's default QUADPACK target (1.49e-8) stops short of tol here
+    val = numerics.quad(lambda x: math.cos(50.0 * x), 0.0, 1.0, tol=1e-10, what="cos 50x")
+    assert abs(val - math.sin(50.0) / 50.0) < 1e-14
+
+
+def test_quad_asks_quadpack_for_tol_on_an_infinite_range():
+    val = numerics.quad(lambda x: math.exp(-x * x), 0.0, math.inf, tol=1e-12, what="gaussian")
+    assert abs(val - math.sqrt(math.pi) / 2.0) < 1e-14
+
+
 def test_quad_raises_when_the_error_estimate_misses_tol():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(NumericError, match="oscillatory integral failed to converge"):
             numerics.quad(lambda x: math.sin(1.0 / x) / x, 1e-9, 1.0,
-                          tol=1e-8, what="oscillatory integral", limit=5)
+                          tol=1e-8, what="oscillatory integral")
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])
 @pytest.mark.parametrize("integrate", [
-    lambda: numerics.quad(lambda x: math.sin(1.0 / x), 0.0, 1.0, tol=1.0,
-                          what="oscillatory integral", limit=5),
+    lambda: numerics.quad(lambda x: math.sin(1.0 / x), 0.0, 1.0, tol=1e-8,
+                          what="oscillatory integral"),
     lambda: numerics.quad_complex(lambda x: complex(math.sin(1.0 / x), 1.0), 0.0, 1.0,
-                                  tol=1.0, what="oscillatory integral", limit=5),
+                                  tol=1e-8, what="oscillatory integral"),
 ], ids=["quad", "quad_complex"])
 def test_integration_warning_is_numeric_error(integrate, action):
-    # tol = 1 lets the error estimate pass the check, so only QUADPACK's
-    # subdivision-limit failure can fail the call, whatever the caller's
-    # warning filter says
+    # QUADPACK reaches its subdivision limit short of tol, which fails the
+    # call whatever the caller's warning filter says
     with warnings.catch_warnings():
         warnings.simplefilter(action)
         with pytest.raises(NumericError, match="oscillatory integral failed to converge"):
@@ -187,7 +197,7 @@ def test_quad_and_quad_complex_leave_the_warning_filters_alone(monkeypatch):
     assert abs(numerics.quad(math.sin, 0.0, math.pi, tol=1e-10, what="sine") - 2.0) < 1e-14
     with pytest.raises(NumericError, match="maximum number of subdivisions"):
         numerics.quad_complex(lambda x: complex(math.sin(1.0 / x), 1.0), 0.0, 1.0,
-                              tol=1.0, what="oscillatory integral", limit=5)
+                              tol=1e-8, what="oscillatory integral")
 
 
 def test_quad_complex_evaluates_each_node_once():
@@ -217,7 +227,7 @@ def test_ode_endpoint_raises_when_the_solver_fails():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(NumericError, match="blow-up integration failed"):
-            numerics.ode_endpoint(lambda t, y: y * y, (0.0, 2.0), [1.0],
+            numerics.ode_endpoint(lambda t, y: y * y, (0.0, 2.0), [1.0], tol=1e-12,
                                   what="blow-up integration")
 
 
@@ -225,13 +235,12 @@ def test_ode_endpoint_failure_is_numeric_error_when_warnings_are_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="blow-up integration failed"):
-            numerics.ode_endpoint(lambda t, y: y * y, (0.0, 2.0), [1.0],
+            numerics.ode_endpoint(lambda t, y: y * y, (0.0, 2.0), [1.0], tol=1e-12,
                                   what="blow-up integration")
 
 
 @pytest.mark.parametrize("t_span", [(0.0, 2.0), (2.0, 0.0)], ids=["forward", "backward"])
 def test_ode_endpoint_integrates_in_either_direction(t_span):
     t0, t1 = t_span
-    y1 = numerics.ode_endpoint(lambda t, y: -y, t_span, [1.0], what="decay",
-                               rtol=1e-12, atol=1e-300)
+    y1 = numerics.ode_endpoint(lambda t, y: -y, t_span, [1.0], tol=1e-12, what="decay")
     assert abs(y1[0] - math.exp(t0 - t1)) < 1e-10 * math.exp(t0 - t1)

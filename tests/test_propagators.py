@@ -126,6 +126,16 @@ def test_feynman_combine3_pole_detection():
         prop.feynman_combine3(1.0, -2.0, 1.0, EXACT)
 
 
+@pytest.mark.parametrize("args", [(1.0, -2.0), (1.0, -2.0, 3.0), (2.0, -1.0, 1.5)],
+                         ids=["combine2", "combine3", "combine3-middle"])
+def test_feynman_crossing_needs_an_i_epsilon_far_above_the_default(args):
+    combine = prop.feynman_combine2 if len(args) == 2 else prop.feynman_combine3
+    with pytest.raises(NumericError):
+        combine(*args, prop.DEFAULT_POLICY)
+    val = combine(*args, prop.IEpsilonPolicy(epsilon=1e-3))
+    assert abs(val - 1.0 / math.prod(args)) < 1e-3
+
+
 def test_loop_integral_closed_form():
     assert prop.loop_integral_I(1.0) == 0.5j * math.pi**2
     with pytest.raises(DomainError):
