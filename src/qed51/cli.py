@@ -227,26 +227,10 @@ def cmd_hydrogen(args, config: RunConfig) -> Table:
                  [[args.B, args.pz, args.M, energy]])
 
 
-def _strip_unit(text: str, *suffixes: str) -> float:
-    number = text
-    for s in suffixes:
-        if text.lower().endswith(s.lower()):
-            number = text[: -len(s)]
-            break
-    try:
-        value = float(number)
-    except ValueError:
-        raise DomainError(f"cannot read a number from {text!r}") from None
-    if not math.isfinite(value):
-        raise DomainError(f"{text!r} is not a finite number")
-    return value
-
-
 def cmd_o16(args, config: RunConfig) -> Table:
     from . import processes
 
-    delta_e = _strip_unit(args.deltaE, "mev")
-    r0 = _strip_unit(args.r0, "cm")
+    delta_e, r0 = args.deltaE, args.r0
     fixed = "o16 uses fixed rounded constants, so --constants and --alpha do not apply"
     if args.spectrum:
         de_nat = delta_e / O16_MC2_MEV
@@ -289,8 +273,7 @@ def cmd_uehling(args, config: RunConfig) -> Table:
 def cmd_lamb(args, config: RunConfig) -> Table:
     from . import radiative
 
-    eav = _strip_unit(str(args.eav), "ry")
-    budget = radiative.lamb_shift_full(eav, config.constants)
+    budget = radiative.lamb_shift_full(args.eav, config.constants)
     unit, scale = _freq_unit(config)
     if args.budget:
         rows = [["bethe_term", budget.bethe_term * scale],
@@ -298,7 +281,7 @@ def cmd_lamb(args, config: RunConfig) -> Table:
                 ["uehling_term", budget.uehling_term * scale],
                 ["total", budget.total * scale]]
         return Table(f"Lamb shift budget, 2s - 2p1/2 [{unit}] "
-                     f"((E-E0)av = {eav} Ry)", ["term", f"value [{unit}]"], rows,
+                     f"((E-E0)av = {args.eav} Ry)", ["term", f"value [{unit}]"], rows,
                      meta={"experimental_Mc": "1062 +- 5 (reported, not asserted)"})
     return Table(f"Lamb shift 2s - 2p1/2 [{unit}]",
                  ["quantity", f"value [{unit}]"],
@@ -420,6 +403,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+def finite_float_in(unit: str):
+    """argparse type: finite_float, optionally followed by `unit` in any case."""
+    def parse(text: str) -> float:
+        try:
+            return finite_float(text[:-len(unit)] if text.lower().endswith(unit) else text)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
+    return parse
+
+
 def _common_options() -> argparse.ArgumentParser:
     # SUPPRESS defaults: the options live on the main parser and on every
     # subparser, and a subparser must not overwrite a value already parsed
@@ -480,8 +473,8 @@ def build_parser() -> _Parser:
     hb.add_argument("--M", type=int, default=0)
 
     o16 = add(sub, "o16", help="monopole pair emission")
-    o16.add_argument("--deltaE", default="6MeV")
-    o16.add_argument("--r0", default="4e-13cm")
+    o16.add_argument("--deltaE", type=finite_float_in("mev"), default="6MeV")
+    o16.add_argument("--r0", type=finite_float_in("cm"), default="4e-13cm")
     o16.add_argument("--Z", type=finite_float, default=8.0)
     o16.add_argument("--spectrum", action="store_true")
 
@@ -493,7 +486,7 @@ def build_parser() -> _Parser:
     ue.add_argument("--state", default="2s")
 
     lamb = add(sub, "lamb", help="Lamb shift")
-    lamb.add_argument("--eav", default="16.6")
+    lamb.add_argument("--eav", type=finite_float_in("ry"), default="16.6")
     lamb.add_argument("--budget", action="store_true")
 
     mom = add(sub, "moment", help="anomalous magnetic moment")

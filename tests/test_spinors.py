@@ -119,31 +119,6 @@ def test_projector_annihilates_on_shell_factor():
     assert np.abs(factor @ lam_p).max() < 1e-10
 
 
-def test_completeness_from_four_spinors():
-    for _ in range(10):
-        st = random_state()
-        assert np.abs(spinors.completeness_matrix(st) - np.eye(4)).max() < 1e-10
-
-
-def test_spin_sum_projector_vs_direct():
-    for _ in range(40):
-        st = random_state()
-        n_ops = RNG.integers(1, 5)
-        O = np.eye(4, dtype=complex)
-        for _ in range(n_ops):
-            O = O @ dirac.slash(FourVector(*RNG.uniform(-1, 1, size=4)))
-        P = np.eye(4, dtype=complex)
-        for _ in range(RNG.integers(1, 5)):
-            P = P @ dirac.slash(FourVector(*RNG.uniform(-1, 1, size=4)))
-        s = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-        r = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-        for sign in (+1, -1):
-            via_proj = spinors.spin_sum(O, P, st, sign, s, r)
-            direct = spinors.spin_sum_direct(O, P, st, sign, s, r)
-            scale = max(1.0, abs(via_proj))
-            assert abs(via_proj - direct) / scale < 1e-9
-
-
 def test_spur_version_of_spin_sum():
     st = random_state()
     Q = dirac.slash(st.p) @ dirac.slash(FourVector(0.3, -0.2, 0.5, 0.7))
