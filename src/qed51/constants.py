@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -46,14 +46,10 @@ O16_HBAR_C_MEV_CM = 1.97327e-11  # rounded hbar c, MeV cm
 O16_HBAR_MEV_S = 6.58212e-22     # rounded hbar, MeV s
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(namedtuple("Constants", "name alpha rydberg_hz mc2_hz")):
     """One set of conversion constants; physics in natural units needs only alpha."""
 
-    name: str
-    alpha: float
-    rydberg_hz: float
-    mc2_hz: float
+    __slots__ = ()
 
     @property
     def mc2_over_ry(self) -> float:
@@ -108,16 +104,18 @@ def check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha = {alpha} outside (0, 0.1)")
 
 
-@dataclass
 class RunConfig:
     """CLI run configuration."""
 
-    constants: Constants = MODERN
-    alpha_override: float | None = None
-    output_format: str = "text"     # csv | json | text
-    units: str = "natural"          # natural | SI | MeV
+    __slots__ = ("constants", "alpha_override", "output_format", "units")
 
-    def __post_init__(self):
+    def __init__(self, constants: Constants = MODERN, alpha_override: float | None = None,
+                 output_format: str = "text",     # csv | json | text
+                 units: str = "natural"):         # natural | SI | MeV
+        self.constants = constants
+        self.alpha_override = alpha_override
+        self.output_format = output_format
+        self.units = units
         alpha = self.alpha
         check_alpha(alpha)
         if alpha * alpha < sys.float_info.min:
@@ -127,6 +125,10 @@ class RunConfig:
             raise DomainError(f"unknown output format {self.output_format!r}")
         if self.units not in UNITS:
             raise DomainError(f"unknown unit system {self.units!r}")
+
+    def __repr__(self):
+        return (f"RunConfig(constants={self.constants!r}, alpha_override={self.alpha_override!r}, "
+                f"output_format={self.output_format!r}, units={self.units!r})")
 
     @property
     def alpha(self) -> float:

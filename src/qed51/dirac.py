@@ -15,7 +15,6 @@ Conventions
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,12 +190,18 @@ def transform_residual(S: np.ndarray, a: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Identity-table verification.
 
-@dataclass
 class CheckReport:
-    """Outcome of replaying a summary table with explicit matrices."""
+    """Outcome of replaying a summary table with explicit matrices: the
+    convention and a list of (label, deviation) entries, empty unless given."""
 
-    convention: str
-    entries: list = field(default_factory=list)  # (label, deviation)
+    __slots__ = ("convention", "entries")
+
+    def __init__(self, convention: str, entries: list | None = None):
+        self.convention = convention
+        self.entries = [] if entries is None else entries
+
+    def __repr__(self):
+        return f"CheckReport(convention={self.convention!r}, entries={self.entries!r})"
 
     def add(self, label: str, lhs: np.ndarray, rhs) -> None:
         rhs = rhs if isinstance(rhs, np.ndarray) else rhs * I4

@@ -13,25 +13,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import numerics
 from .constants import ORBITAL_LETTERS, check_alpha
 from .errors import DomainError, NumericError
 
 
-@dataclass(frozen=True)
-class DiracQuantumNumbers:
-    n: int
-    k: int
+class DiracQuantumNumbers(namedtuple("DiracQuantumNumbers", "n k")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k == 0:
+    def __new__(cls, n: int, k: int):
+        if k == 0:
             raise DomainError("k = 0 is not an allowed angular eigenvalue")
-        if self.n < 0:
+        if n < 0:
             raise DomainError("radial quantum number n must be >= 0")
-        if self.n == 0 and self.k < 0:
+        if n == 0 and k < 0:
             raise DomainError("n = 0 requires k positive")
+        return super().__new__(cls, n, k)
 
     @property
     def j(self) -> float:
@@ -42,10 +41,10 @@ class DiracQuantumNumbers:
         return self.n + abs(self.k)
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    energy: float            # units mc^2
-    qn: DiracQuantumNumbers
+class EnergyLevel(namedtuple("EnergyLevel", "energy qn")):
+    """A level's energy, in units of mc^2, and its DiracQuantumNumbers."""
+
+    __slots__ = ()
 
 
 def dirac_energy(qn: DiracQuantumNumbers, alpha: float) -> EnergyLevel:
@@ -201,14 +200,30 @@ def _decaying_at(qn: DiracQuantumNumbers, alpha: float, energy: float,
                             what=f"asymptotic radial series at r = {r:g}")
 
 
-@dataclass
 class RecursionReport:
-    qn: DiracQuantumNumbers
-    exponent: float
-    termination_residual: float   # e_{eps+n+1} coefficient at the exact energy
-    energy_from_termination: float
-    energy_closed_form: float
-    tail_ratio_scaled: float      # s * e_{s+1}/e_s at large s for a generic energy
+    """What radial_recursion_check found: termination_residual is the
+    e_{eps+n+1} coefficient at the exact energy, and tail_ratio_scaled is
+    s * e_{s+1}/e_s at large s for a generic energy."""
+
+    __slots__ = ("qn", "exponent", "termination_residual", "energy_from_termination",
+                 "energy_closed_form", "tail_ratio_scaled")
+
+    def __init__(self, qn: DiracQuantumNumbers, exponent: float, termination_residual: float,
+                 energy_from_termination: float, energy_closed_form: float,
+                 tail_ratio_scaled: float):
+        self.qn = qn
+        self.exponent = exponent
+        self.termination_residual = termination_residual
+        self.energy_from_termination = energy_from_termination
+        self.energy_closed_form = energy_closed_form
+        self.tail_ratio_scaled = tail_ratio_scaled
+
+    def __repr__(self):
+        return (f"RecursionReport(qn={self.qn!r}, exponent={self.exponent!r}, "
+                f"termination_residual={self.termination_residual!r}, "
+                f"energy_from_termination={self.energy_from_termination!r}, "
+                f"energy_closed_form={self.energy_closed_form!r}, "
+                f"tail_ratio_scaled={self.tail_ratio_scaled!r})")
 
     @property
     def terminates(self) -> bool:

@@ -6,8 +6,7 @@ result and oracle take the point's arguments and alpha, and look their functions
 time; a callable point draws them from the caller's numpy.random.default_rng(SEED), in order."""
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 import numpy as np
@@ -17,14 +16,12 @@ from . import dirac, hydrogen, kinematics, processes, propagators, radiative, sp
 SEED = 20510
 
 
-@dataclass(frozen=True)
-class Pair:
-    name: str
-    result: Callable
-    oracle: Callable
-    point: tuple | Callable
-    tol: float
-    relative: bool = False   # |oracle/result - 1|, else max |oracle - result|
+class Pair(namedtuple("Pair", "name result oracle point tol relative", defaults=(False,))):
+    """A closed form (result) and its oracle, compared at point, a tuple of
+    arguments or a callable drawing them; the check passes below tol, by
+    |oracle/result - 1| if relative, else by max |oracle - result|."""
+
+    __slots__ = ()
 
     def deviation(self, point: tuple, alpha: float) -> float:
         value, oracle = self.result(*point, alpha), self.oracle(*point, alpha)

@@ -11,8 +11,7 @@ and the total Thomson cross section is 8 pi / 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from . import numerics
 from .constants import (C_CM_S, O16_ALPHA, O16_HBAR_C_MEV_CM, O16_HBAR_MEV_S,
@@ -21,20 +20,15 @@ from .errors import DomainError, NumericError
 from .kinematics import (ElectronState, FourVector, PhotonState, check_conservation,
                          compton_shift, electron_at_rest, moller_cm_angle,
                          moller_cm_momenta, two_body_cross_section)
-from .propagators import IEpsilonPolicy, electron_propagator
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TWO_PI = 2.0 * math.pi
-# internal electron lines are exact-mode propagators: PoleError on shell
-_EXACT = IEpsilonPolicy.exact_limit()
 
 
-@dataclass
-class DecayResult:
-    rate: float        # natural units (1/mc^2 time) unless stated otherwise
-    lifetime: float
+class DecayResult(namedtuple("DecayResult", "rate lifetime")):
+    """A decay rate, in natural units (1/mc^2 time) unless stated otherwise,
+    and the lifetime 1/rate."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +471,14 @@ def _static_two_propagator(bra: np.ndarray, ket: np.ndarray, q: FourVector,
     """-e^2 f(q) bra-bar { eslash S(first) e'slash + e'slash S(second) eslash }
     ket with the static vertex eslash = i gamma4 and S the electron line."""
     from . import dirac, spinors
+    from .propagators import IEpsilonPolicy, electron_propagator
 
+    # internal electron lines are exact-mode propagators: PoleError on shell
+    exact = IEpsilonPolicy.exact_limit()
     e2 = 4.0 * math.pi * alpha
     vertex_e = 1j * dirac.GAMMA[3]
-    mid = (vertex_e @ electron_propagator(first, policy=_EXACT) @ dirac.slash(ep)
-           + dirac.slash(ep) @ electron_propagator(second, policy=_EXACT) @ vertex_e)
+    mid = (vertex_e @ electron_propagator(first, policy=exact) @ dirac.slash(ep)
+           + dirac.slash(ep) @ electron_propagator(second, policy=exact) @ vertex_e)
     return -e2 * formfactor(q) * spinors.bar_sandwich(bra, mid, ket)
 
 

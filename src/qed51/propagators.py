@@ -11,27 +11,22 @@ oracle (4-sphere surface 2 pi^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from . import numerics
 from .errors import DomainError, NumericError, PoleError
 
-if TYPE_CHECKING:
-    import numpy as np
 
-    from .kinematics import FourVector
-
-@dataclass(frozen=True)
-class IEpsilonPolicy:
+class IEpsilonPolicy(namedtuple("IEpsilonPolicy", "epsilon exact")):
     """Finite i-epsilon displacement, or exact-limit mode which raises on poles."""
 
-    epsilon: float = 1e-9   # units of m^2
-    exact: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.exact and self.epsilon <= 0:
+    def __new__(cls, epsilon: float = 1e-9,   # units of m^2
+                exact: bool = False):
+        if not exact and epsilon <= 0:
             raise DomainError("finite i-epsilon policy needs epsilon > 0")
+        return super().__new__(cls, epsilon, exact)
 
     @classmethod
     def exact_limit(cls) -> "IEpsilonPolicy":
@@ -149,7 +144,6 @@ def loop_log_difference_quadrature(lam: float, lam_prime: float) -> complex:
     return 2j * math.pi**2 * val
 
 
-@dataclass
 class CutoffQuantity:
     """A value of the form finite + log_coeff * log(k_max), kept symbolic.
 
@@ -157,8 +151,14 @@ class CutoffQuantity:
     (the divergent photon integral carries 2 pi^2 i per unit log).
     """
 
-    finite: complex
-    log_coeff: complex
+    __slots__ = ("finite", "log_coeff")
+
+    def __init__(self, finite: complex, log_coeff: complex):
+        self.finite = finite
+        self.log_coeff = log_coeff
+
+    def __repr__(self):
+        return f"CutoffQuantity(finite={self.finite!r}, log_coeff={self.log_coeff!r})"
 
     def __add__(self, other):
         if isinstance(other, CutoffQuantity):

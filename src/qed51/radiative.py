@@ -13,25 +13,21 @@ frequencies come out in megacycles through the constants profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import numerics
 from .constants import ORBITAL_LETTERS, Constants
 from .errors import DomainError
-from .propagators import CutoffQuantity
 
 # ---------------------------------------------------------------------------
 # Vacuum polarization.
 
-@dataclass
-class VacPolResult:
+class VacPolResult(namedtuple("VacPolResult", "in_phase out_phase threshold_open")):
     """Coefficients of the induced current proportional to the renormalized
     external current: in-phase (dispersive) and out-of-phase (absorptive,
     carries the sign of q0)."""
 
-    in_phase: float
-    out_phase: float
-    threshold_open: bool
+    __slots__ = ()
 
 
 def absorptive_weight(w0: float) -> float:
@@ -196,6 +192,8 @@ def uehling_shift(state: str, constants: Constants) -> float:
 def self_energy_constant() -> CutoffQuantity:
     """Sigma(p) = -6 pi^2 mu R' = -pi^2 mu (6R + 5) as a cutoff quantity
     (units mu = 1): log coefficient -6 pi^2, finite part -5 pi^2."""
+    from .propagators import CutoffQuantity
+
     return CutoffQuantity(finite=-5.0 * math.pi**2, log_coeff=-6.0 * math.pi**2)
 
 
@@ -215,6 +213,8 @@ def self_energy_z_integral(r_value: float) -> float:
 def delta_m(alpha: float) -> CutoffQuantity:
     """Electromagnetic self-mass dm = (3 alpha / 2 pi) R' in units of m, kept
     symbolic: log coefficient 3 alpha/2 pi, finite part (3 alpha/2 pi)(5/6)."""
+    from .propagators import CutoffQuantity
+
     coeff = 3.0 * alpha / (2.0 * math.pi)
     return CutoffQuantity(finite=coeff * 5.0 / 6.0, log_coeff=coeff)
 
@@ -497,15 +497,12 @@ def level_shift(n: int, ell: int, j: float, e_av_over_ry: float,
     return -alpha**3 / (2.0 * math.pi * n**3) * ry_mc / (ell * (ell + 0.5))
 
 
-@dataclass
-class LambBudget:
+class LambBudget(namedtuple("LambBudget", "bethe_term moment_term uehling_term")):
     """The 2s - 2p1/2 splitting decomposed into its three physical pieces
     (megacycles): the electric (Bethe-log) term, the magnetic-moment term on
     the 2p1/2 level, and the vacuum-polarization (Uehling) term."""
 
-    bethe_term: float
-    moment_term: float
-    uehling_term: float
+    __slots__ = ()
 
     @property
     def total(self) -> float:

@@ -24,7 +24,7 @@ the momentum-space factor it would contribute as metadata.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -38,14 +38,13 @@ ELECTRON_LINE_FACTOR = "1/(kslash - i mu)"
 VERTEX_FACTOR = "(2 pi)^4 delta4(k1 + k2 + k3)"
 
 
-@dataclass(frozen=True)
-class Factor:
-    kind: str
-    vertex: int
+class Factor(namedtuple("Factor", "kind vertex")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (PSI_BAR, PSI, PHOTON, EXTERNAL_POTENTIAL):
-            raise DomainError(f"unknown factor kind {self.kind!r}")
+    def __new__(cls, kind: str, vertex: int):
+        if kind not in (PSI_BAR, PSI, PHOTON, EXTERNAL_POTENTIAL):
+            raise DomainError(f"unknown factor kind {kind!r}")
+        return super().__new__(cls, kind, vertex)
 
 
 class OperatorProduct:
@@ -76,13 +75,13 @@ class OperatorProduct:
         return cls(factors)
 
 
-@dataclass(frozen=True, slots=True)
-class Pairing:
+class Pairing(namedtuple("Pairing", "fermion_pairs photon_pairs")):
     """Disjoint index pairs; fermion pairs join one psi_bar with one psi,
-    photon pairs join two photon factors, never at the same vertex."""
+    photon pairs join two photon factors, never at the same vertex.
+    fermion_pairs is ((i_psibar, j_psi), ...), indices into the product;
+    photon_pairs is ((i, j), ...) with i < j."""
 
-    fermion_pairs: tuple   # ((i_psibar, j_psi), ...) indices into the product
-    photon_pairs: tuple    # ((i, j), ...) with i < j
+    __slots__ = ()
 
     @property
     def pairs(self):
@@ -184,23 +183,41 @@ def enumerate_pairings(prod: OperatorProduct) -> PairingSequence:
     return PairingSequence(fermion_options, signs, _photon_matchings(photons, vertices))
 
 
-@dataclass
 class ExternalLeg:
-    vertex: int
-    kind: str          # "electron_out" (unpaired psi_bar), "electron_in"
-                       # (unpaired psi), "photon", "potential"
+    """An unpaired factor's vertex and kind: "electron_out" (unpaired
+    psi_bar), "electron_in" (unpaired psi), "photon" or "potential"."""
+
+    __slots__ = ("vertex", "kind")
+
+    def __init__(self, vertex: int, kind: str):
+        self.vertex = vertex
+        self.kind = kind
+
+    def __repr__(self):
+        return f"ExternalLeg(vertex={self.vertex!r}, kind={self.kind!r})"
 
 
-@dataclass
 class PairingGraph:
     """Vertices, directed internal electron lines (psi_bar vertex -> psi
-    vertex), undirected internal photon lines, and external legs."""
+    vertex), undirected internal photon lines, and external legs.  Each
+    line is a tuple (from_v, to_v, factor) or (v1, v2, factor); the lists
+    start empty unless given."""
 
-    vertices: list
-    electron_lines: list = field(default_factory=list)   # (from_v, to_v, factor)
-    photon_lines: list = field(default_factory=list)     # (v1, v2, factor)
-    external: list = field(default_factory=list)
-    sign: int = 1
+    __slots__ = ("vertices", "electron_lines", "photon_lines", "external", "sign")
+
+    def __init__(self, vertices: list, electron_lines: list | None = None,
+                 photon_lines: list | None = None, external: list | None = None,
+                 sign: int = 1):
+        self.vertices = vertices
+        self.electron_lines = [] if electron_lines is None else electron_lines
+        self.photon_lines = [] if photon_lines is None else photon_lines
+        self.external = [] if external is None else external
+        self.sign = sign
+
+    def __repr__(self):
+        return (f"PairingGraph(vertices={self.vertices!r}, "
+                f"electron_lines={self.electron_lines!r}, photon_lines={self.photon_lines!r}, "
+                f"external={self.external!r}, sign={self.sign!r})")
 
     def vertex_degree(self, v: int) -> int:
         deg = sum((a == v) + (b == v) for a, b, _ in self.electron_lines)

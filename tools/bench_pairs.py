@@ -58,9 +58,12 @@ def environment() -> dict:
         except importlib.metadata.PackageNotFoundError:
             return None
 
+    # the runs inherit this environment; PYTHONDONTWRITEBYTECODE set means
+    # every process start of cli_session compiles the sources it imports
     return {"python": platform.python_version(), "numpy": version("numpy"),
             "scipy": version("scipy"), "nproc": os.cpu_count(),
-            "platform": platform.platform(), "machine": platform.machine()}
+            "platform": platform.platform(), "machine": platform.machine(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def order(pair: int) -> tuple[str, str]:

@@ -115,3 +115,13 @@ def test_parse_pairs():
     for bad in ("spectrum_numerics", "cli_session=0", "cli_session=x"):
         with pytest.raises(Exception, match="WORKLOAD=COUNT"):
             bench_pairs.parse_pairs([bad])
+
+
+@pytest.mark.parametrize("value", [None, "1"])
+def test_environment_records_whether_bytecode_is_written(monkeypatch, value):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    if value is not None:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    env = bench_pairs.environment()
+    assert env["PYTHONDONTWRITEBYTECODE"] == value
+    assert {"python", "numpy", "scipy", "nproc"} <= set(env)
