@@ -17,9 +17,8 @@ SEED = 20510
 
 
 class Pair(namedtuple("Pair", "name result oracle point tol relative", defaults=(False,))):
-    """A closed form (result) and its oracle, compared at point, a tuple of
-    arguments or a callable drawing them; the check passes below tol, by
-    |oracle/result - 1| if relative, else by max |oracle - result|."""
+    """One registered check: it passes below tol, by |oracle/result - 1| if
+    relative, else by max |oracle - result|."""
 
     __slots__ = ()
 

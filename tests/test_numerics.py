@@ -83,6 +83,35 @@ print(loads_numpy(["verify", "tables"]))
     assert res.stdout.splitlines() == ["False", "[]", "True"]
 
 
+def test_scalar_cli_examples_leave_dataclasses_typing_and_json_unloaded(tmp_path):
+    # under -S, where no .pth file of site-packages preloads typing: one
+    # child runs the scalar README examples, --help, a usage error and, as
+    # the positive control, one --format json argv, the only one to load json
+    examples = [argv for argv in readme_cli_examples() if argv[0] in SCALAR_COMMANDS]
+    examples += [["--help"], ["frobnicate"], ["lamb", "--format", "json"]]
+    script = """
+import contextlib, io, sys
+import qed51.cli as cli
+watched = {"dataclasses", "inspect", "typing", "json"}
+print(sorted(watched & set(sys.modules)))
+for arg in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(arg.split("\\t"))
+        except SystemExit as exc:  # --help and the usage error
+            code = exc.code
+    print(code, sorted(watched & set(sys.modules)))
+"""
+    res = subprocess.run([sys.executable, "-S", "-c", script,
+                          *("\t".join(argv) for argv in examples)],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == (["[]"] + ["0 []"] * (len(examples) - 2)
+                                       + ["1 []", "0 ['json']"])
+
+
 def test_quad_returns_a_converged_value():
     assert abs(numerics.quad(math.sin, 0.0, math.pi, tol=1e-10, what="sine") - 2.0) < 1e-14
 

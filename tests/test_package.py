@@ -83,20 +83,30 @@ print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
     assert res.stdout.splitlines() == [f"0 True {argv}" for argv in SCALAR_ARGV] + ["[]"]
 
 
+def imported_packages(path):
+    """Top-level package of every absolute import in a source file, at module
+    level or inside a function."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.partition(".")[0] for name in names}
+
+
 def test_numerics_is_the_only_module_importing_scipy():
-    # at module level or inside a function: numerics is the one scipy interface
-    importers = set()
-    for path in (SRC / "qed51").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name == "scipy" or name.startswith("scipy.") for name in names):
-                importers.add(path.name)
+    # numerics is the one scipy interface
+    importers = {path.name for path in (SRC / "qed51").glob("*.py")
+                 if "scipy" in imported_packages(path)}
     assert importers == {"numerics.py"}
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # either would cost every CLI start: dataclasses loads inspect, ast and
+    # dis, and each @dataclass execs its methods; annotations are strings
+    for path in (SRC / "qed51").glob("*.py"):
+        assert not imported_packages(path) & {"dataclasses", "typing"}, path.name
 
 
 def test_radiative_leaves_hydrogen_unloaded(tmp_path):
