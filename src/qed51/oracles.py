@@ -12,6 +12,7 @@ from functools import reduce
 import numpy as np
 
 from . import dirac, hydrogen, kinematics, processes, propagators, radiative, spinors
+from .constants import ERA_1951
 
 SEED = 20510
 
@@ -60,6 +61,14 @@ def _energy(qn, a):
     return hydrogen.dirac_energy(qn, a).energy
 
 
+def _compton_spin_sum(eps, theta, e, ep, a):
+    """(1/2) sum over electron spins of |compton_amplitude|^2 in compton_geometry."""
+    p, k, kp, pp = processes.compton_geometry(eps, theta)
+    return sum(abs(processes.compton_amplitude(p, k, e, kp, ep, u, up, a)) ** 2
+               for u in spinors.plane_wave_spinors(kinematics.electron_at_rest(), +1)
+               for up in spinors.plane_wave_spinors(kinematics.ElectronState(pp), +1)) / 2.0
+
+
 PAIRS = (
     *(Pair(f"{conv} summary table", lambda *_: 0.0,
            lambda conv, a: dirac.verify_identity_tables(conv).max_deviation, (conv,),
@@ -89,7 +98,8 @@ PAIRS = (
          lambda lo, hi, de, q2, a: radiative.observable_scattering_probability(hi, de, q2, a),
          lambda lo, hi, de, q2, a: radiative.observable_scattering_probability(lo, de, q2, a),
          (1e-6, 1e-4, 1e-3, 0.01), 1e-12, True),
-    Pair("self-energy z-integral", lambda r, a: -(math.pi**2) * (6.0 * r + 5.0),
+    Pair("self-energy z-integral",
+         lambda r, a: radiative.self_energy_constant().evaluate(math.exp(r)),
          lambda r, a: radiative.self_energy_z_integral(r), (3.0,), 1e-8),
     Pair("Klein-Nishina spinor oracle", lambda *p: processes.kn_spin_summed_ksq(*p),
          lambda *p: processes.kn_spin_summed_ksq(*p, "spinors"), _KN_POINT, 1e-8, True),
@@ -99,6 +109,19 @@ PAIRS = (
          hydrogen.radial_recursion_check(qn, a).energy_from_termination, _2S, 1e-12, True),
     Pair("f(theta) Gauss oracle", lambda th, a: radiative.total_correction_f_theta(th),
          lambda th, a: radiative.total_correction_f_theta(th, "gauss"), (math.pi / 2,), 1e-10),
+    Pair("spinor Lorentz covariance", lambda *_: 0.0, lambda th, phi, a: max(
+        dirac.transform_residual(*s) for s in (dirac.spin_rotation(th), dirac.spin_boost(phi),
+                                               dirac.spin_reflection())), (0.7, 0.4), 1e-12),
+    Pair("Compton amplitude spin sum", lambda *p: processes.kn_spin_summed_ksq(*p),
+         _compton_spin_sum, _KN_POINT, 1e-8, True),
+    Pair("total correction f(theta) form", lambda *p: radiative.total_scattering_correction(*p),
+         lambda t, th, de, a: 1.0 - 2.0 * a / (3.0 * math.pi) * (8.0 * t * math.sin(th / 2.0) ** 2)
+         * (math.log(1.0 / (2.0 * t)) + radiative.total_correction_f_theta(th)),
+         (0.015, 0.9, 1e-4), 1e-12),
+    Pair("level shifts against the Lamb budget",
+         lambda e_av, c, a: radiative.lamb_shift_full(e_av, c).total,
+         lambda e_av, c, a: (radiative.level_shift(2, 0, 0.5, e_av, c)
+                             - radiative.level_shift(2, 1, 0.5, e_av, c)), (16.6, ERA_1951), 1e-9),
 )
 
 NUMERIC_PAIRS = (

@@ -144,46 +144,6 @@ def loop_log_difference_quadrature(lam: float, lam_prime: float) -> complex:
     return 2j * math.pi**2 * val
 
 
-class CutoffQuantity:
-    """A value of the form finite + log_coeff * log(k_max), kept symbolic.
-
-    Evaluation requires an explicit cutoff value.  log_coeff may be complex
-    (the divergent photon integral carries 2 pi^2 i per unit log).
-    """
-
-    __slots__ = ("finite", "log_coeff")
-
-    def __init__(self, finite: complex, log_coeff: complex):
-        self.finite = finite
-        self.log_coeff = log_coeff
-
-    def __repr__(self):
-        return f"CutoffQuantity(finite={self.finite!r}, log_coeff={self.log_coeff!r})"
-
-    def __add__(self, other):
-        if isinstance(other, CutoffQuantity):
-            return CutoffQuantity(self.finite + other.finite,
-                                  self.log_coeff + other.log_coeff)
-        return CutoffQuantity(self.finite + other, self.log_coeff)
-
-    __radd__ = __add__
-
-    def __mul__(self, c):
-        return CutoffQuantity(self.finite * c, self.log_coeff * c)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, cutoff_value: float) -> complex:
-        if cutoff_value <= 0:
-            raise DomainError("cutoff value must be positive")
-        return self.finite + self.log_coeff * math.log(cutoff_value)
-
-
-def divergent_photon_integral() -> CutoffQuantity:
-    """int_C dk (k^2 + m^2)^-2 = 2 pi^2 i log(k_max/m), never a float."""
-    return CutoffQuantity(finite=0.0, log_coeff=2j * math.pi**2)
-
-
 def principal_value(f, a: float, b: float, pole: float) -> float:
     """Cauchy principal value of int_a^b f, where f carries a simple pole inside
     (a, b); either end may be infinite.  The part of [a, b] symmetric about the

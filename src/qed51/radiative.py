@@ -3,8 +3,10 @@ parts, the Uehling shift, electron self-energy and mass-renormalization
 bookkeeping, second-order corrections to scattering, the anomalous magnetic
 moment, infrared cancellation, and the full Lamb-shift budget.
 
-Ultraviolet-divergent constants are never floats: they live in
-CutoffQuantity (finite + log_coeff * log k_max) or cancel structurally.
+Ultraviolet-divergent constants are never floats: self_energy_constant and
+delta_m return a CutoffQuantity (finite + log_coeff * log k_max), which has
+no arithmetic and is evaluated only at an explicit cutoff; the others cancel
+structurally.
 The infrared cutoff r and the detector resolution dE are explicit positive
 float arguments.  Momentum arguments are in units of the electron mass;
 frequencies come out in megacycles through the constants profile.
@@ -118,11 +120,6 @@ def vacuum_polarization_quadrature(q2_over_mu2: float, alpha: float) -> float:
     return alpha / (4.0 * math.pi) * integral
 
 
-def vacuum_polarization_small_q(q2_over_mu2: float, alpha: float) -> float:
-    """Leading slowly-varying-field form alpha q^2 / (15 pi mu^2)."""
-    return alpha * q2_over_mu2 / (15.0 * math.pi)
-
-
 def maxwell_source_amplitude(e_vec, q_vec):
     """The gauge-invariant source combination q^2 e_nu - (e.q) q_nu that the
     induced current multiplies; identically zero for pure-gauge e ~ q."""
@@ -166,7 +163,7 @@ def pair_creation_probability_power_route(e2_pol: float, q2: float, q0: float,
 def _parse_state_label(state: str):
     """Spectroscopic label like '2s' or '3d' -> (n, ell)."""
     key = state.strip().lower()
-    if len(key) < 2 or not key[:-1].isdigit() or key[-1] not in ORBITAL_LETTERS:
+    if len(key) < 2 or not key[:-1].isdecimal() or key[-1] not in ORBITAL_LETTERS:
         raise DomainError(f"unknown hydrogen state label {state!r}")
     n, ell = int(key[:-1]), ORBITAL_LETTERS.index(key[-1])
     if not 0 <= ell < n:
@@ -189,11 +186,28 @@ def uehling_shift(state: str, constants: Constants) -> float:
 # ---------------------------------------------------------------------------
 # Self-energy and mass renormalization.
 
+class CutoffQuantity:
+    """A value of the form finite + log_coeff * log(k_max), kept symbolic;
+    evaluation requires an explicit cutoff value."""
+
+    __slots__ = ("finite", "log_coeff")
+
+    def __init__(self, finite: complex, log_coeff: complex):
+        self.finite = finite
+        self.log_coeff = log_coeff
+
+    def __repr__(self):
+        return f"CutoffQuantity(finite={self.finite!r}, log_coeff={self.log_coeff!r})"
+
+    def evaluate(self, cutoff_value: float) -> complex:
+        if cutoff_value <= 0:
+            raise DomainError("cutoff value must be positive")
+        return self.finite + self.log_coeff * math.log(cutoff_value)
+
+
 def self_energy_constant() -> CutoffQuantity:
     """Sigma(p) = -6 pi^2 mu R' = -pi^2 mu (6R + 5) as a cutoff quantity
     (units mu = 1): log coefficient -6 pi^2, finite part -5 pi^2."""
-    from .propagators import CutoffQuantity
-
     return CutoffQuantity(finite=-5.0 * math.pi**2, log_coeff=-6.0 * math.pi**2)
 
 
@@ -213,8 +227,6 @@ def self_energy_z_integral(r_value: float) -> float:
 def delta_m(alpha: float) -> CutoffQuantity:
     """Electromagnetic self-mass dm = (3 alpha / 2 pi) R' in units of m, kept
     symbolic: log coefficient 3 alpha/2 pi, finite part (3 alpha/2 pi)(5/6)."""
-    from .propagators import CutoffQuantity
-
     coeff = 3.0 * alpha / (2.0 * math.pi)
     return CutoffQuantity(finite=coeff * 5.0 / 6.0, log_coeff=coeff)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .dirac import ALPHA, BETA, GAMMA, I4, slash
+from .dirac import BETA, GAMMA, I4, slash
 from .errors import DomainError
 from .kinematics import ElectronState, electron_from_energy
 
@@ -110,12 +110,3 @@ def mott_spin_factor_direct(energy: float, theta: float) -> float:
             total += abs(np.vdot(up, u)) ** 2
     return total / 2.0
 
-
-def probability_density(u: np.ndarray) -> float:
-    """psi* psi for the constant spinor."""
-    return float(np.vdot(u, u).real)
-
-
-def current_density(u: np.ndarray) -> np.ndarray:
-    """psi* alpha^k psi, the three flow components."""
-    return np.array([complex(u.conj() @ a @ u).real for a in ALPHA])

@@ -153,7 +153,7 @@ def test_criterion_07_vacuum_polarization():
     alpha = MODERN.alpha
     q2 = 1e-3
     got = rad.vacuum_polarization(q2, alpha).in_phase
-    small = rad.vacuum_polarization_small_q(q2, alpha)
+    small = alpha * q2 / (15.0 * math.pi)
     small_ok = abs(got / small - 1.0) < 0.005
     above = rad.vacuum_polarization(-3.99, alpha).out_phase
     at = rad.vacuum_polarization(-4.0, alpha).out_phase

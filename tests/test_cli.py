@@ -194,6 +194,14 @@ def test_domain_error_exits_two():
     assert code == 2
 
 
+def test_state_label_takes_decimal_digits_only(capsys):
+    # '²'.isdigit() is true, but int('²') raises; int('٢') is 2
+    assert run(["uehling", "--state", "²s"]) == (2, "")
+    assert capsys.readouterr().err == "domain error: unknown hydrogen state label '²s'\n"
+    assert run(["uehling", "--state", "٢s"]) == (
+        0, run(["uehling", "--state", "2s"])[1].replace("2s ", "٢s "))
+
+
 def test_mott_domain_error_names_the_range_and_the_angle(capsys):
     code, out = run(["xsec", "mott", "--energy", "1.5", "--theta-grid", "170:200:3"])
     err = capsys.readouterr().err

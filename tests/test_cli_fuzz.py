@@ -89,7 +89,8 @@ COMMANDS = st.one_of(
             r0=option("r0", st.sampled_from(("4e-13cm", "4e-13", "0cm", "-1cm", "infcm"))),
             Z=option("Z", number(0.0, 100.0)), spectrum=flag("spectrum")),
     command("vacpol", q2=option("q2", number(-1e3, 1e3)), grid=option("grid", grid(-100.0, 100.0))),
-    command("uehling", state=option("state", st.sampled_from(("2s", "1s", "2p", "3d", "x")))),
+    command("uehling", state=option("state", st.one_of(
+        st.sampled_from(("2s", "1s", "2p", "3d", "x")), st.text(max_size=4)))),
     command("lamb", eav=option("eav", st.one_of(number(1.0, 100.0), st.just("16.6Ry"))),
             budget=flag("budget")),
     command("moment", order=option("order", st.sampled_from(("1", "2", "3", "x")))),
@@ -128,6 +129,7 @@ def argvs(draw):
 @example(["xsec", "compton", "--eps=0.0", "--theta-grid=0:inf:3"])
 @example(["vacpol", "--grid=-1e308:1e308:9"])
 @example(["lamb", "--eav=1e308"])
+@example(["uehling", "--state=²s"])
 @example(["--alpha=5e-324", "verify", "all"])
 @example(["xsec", "mott", "--energy=2", "--theta-grid=30:150:3", "--alpha=1e-160"])
 def test_any_argv_keeps_the_contract(tmp_path_factory, argv):

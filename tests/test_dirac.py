@@ -190,12 +190,6 @@ def test_tables_are_built_once_and_read_only():
         dirac.gammas("dyson")[0][0, 0] = 1.0
 
 
-def test_spin_transformation_fixtures():
-    for S, a in (dirac.spin_rotation(0.7), dirac.spin_boost(0.4),
-                 dirac.spin_reflection()):
-        assert dirac.transform_residual(S, a) < 1e-12
-
-
 def test_rotation_by_two_pi_is_minus_one():
     S, _ = dirac.spin_rotation(2.0 * np.pi)
     assert np.abs(S + np.eye(4)).max() < 1e-12

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qed51 import oracles, processes
-from qed51.constants import MODERN
+from qed51.constants import ERA_1951, MODERN
 from qed51.hydrogen import DiracQuantumNumbers
 from qed51.kinematics import FourVector
 from qed51.oracles import BY_NAME
@@ -44,7 +44,8 @@ def _kn_point(eps, theta, incident, scattered):
 
 
 def _log_floats(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+    """Log-uniform floats in [lo, hi]; 10**e can round past either end."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
 
 
 def _levels(max_big_n):
@@ -90,6 +91,15 @@ DRAWS = {
         BY_NAME["spin sum via projector"].point),
     "Dirac energy from series termination": _levels(6),
     "f(theta) Gauss oracle": st.tuples(st.floats(0.1, math.pi)),
+    "spinor Lorentz covariance": st.tuples(st.floats(-2 * math.pi, 2 * math.pi),
+                                           st.floats(-3.0, 3.0)),
+    "Compton amplitude spin sum": KN_DRAWS,
+    # T from 1e-300: below about 3e-309 both forms overflow in log(1/2T) to nan
+    "total correction f(theta) form": st.builds(
+        lambda t, theta, share: (t, theta, t * share), _log_floats(1e-300, 0.2),
+        st.floats(0.0, math.pi, exclude_min=True, exclude_max=True), _log_floats(1e-8, 1.0)),
+    "level shifts against the Lamb budget": st.tuples(_log_floats(1e-3, 1e5),
+                                                      st.sampled_from([MODERN, ERA_1951])),
     "Dirac energy by shooting": _levels(2),
     "vacuum polarization quadrature": st.tuples(st.floats(-1e3, 1e3)),
     "pair creation power route": st.tuples(
@@ -113,7 +123,7 @@ def test_draws_cover_every_pair_once():
     assert list(DRAWS) == [pair.name for pair in ALL_PAIRS]
 
 
-# A quarter of the profile's examples per entry keeps the 27 entries near
+# A quarter of the profile's examples per entry keeps the 31 entries near
 # the cost of the other tests; --hypothesis-profile=ci runs 500 each.
 @pytest.mark.parametrize("name", DRAWS)
 @settings(deadline=None, max_examples=settings.default.max_examples // 4)

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,11 +84,15 @@ print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
     assert res.stdout.splitlines() == [f"0 True {argv}" for argv in SCALAR_ARGV] + ["[]"]
 
 
+def parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
 def imported_packages(path):
     """Top-level package of every absolute import in a source file, at module
     level or inside a function."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -107,6 +112,36 @@ def test_no_module_imports_dataclasses_or_typing():
     # dis, and each @dataclass execs its methods; annotations are strings
     for path in (SRC / "qed51").glob("*.py"):
         assert not imported_packages(path) & {"dataclasses", "typing"}, path.name
+
+
+def names_used(node):
+    """Every name a node's code refers to: names, attributes, imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_public_name_earns_its_place():
+    # a public top-level def or class is named by src/qed51 outside its own
+    # definition (the cli, an oracle pair or another function), or the
+    # README's "Library index" lists it; every entry there must exist
+    public, naming = {}, {}
+    for path in (SRC / "qed51").glob("*.py"):
+        for top in parse(path).body:
+            for name in names_used(top):
+                naming.setdefault(name, set()).add(id(top))
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                public[f"{path.stem}.{top.name}"] = top
+    section = README.read_text().split("\n## Library index\n")[1].split("\n## ")[0]
+    index = set(re.findall(r"^- `(\w+\.\w+)`", section, re.MULTILINE))
+    unreached = {name for name, top in public.items()
+                 if naming.get(top.name, set()) <= {id(top)}}
+    assert sorted(unreached - index) == []
+    assert sorted(index - public.keys()) == []
 
 
 def test_radiative_leaves_hydrogen_unloaded(tmp_path):

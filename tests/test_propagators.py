@@ -159,23 +159,6 @@ def test_propagator_analytic_in_epsilon():
         assert np.isfinite(np.abs(prop.electron_propagator(k, pol)).max())
 
 
-def test_cutoff_quantity_algebra():
-    a = prop.CutoffQuantity(1.0, 2.0)
-    b = prop.CutoffQuantity(0.5, -1.0)
-    c = a + b
-    assert (c.finite, c.log_coeff) == (1.5, 1.0)
-    assert (2.0 * a).log_coeff == 4.0
-    assert abs(a.evaluate(math.e) - 3.0) < 1e-12
-    with pytest.raises(DomainError):
-        a.evaluate(-1.0)
-
-
-def test_divergent_photon_integral_representation():
-    q = prop.divergent_photon_integral()
-    assert q.log_coeff == 2j * math.pi**2
-    assert q.finite == 0.0
-
-
 def test_principal_value_odd_pole():
     # PV of 1/(x - 0.3) over a symmetric-enough interval
     val = prop.principal_value(lambda x: 1.0 / (x - 0.3), 0.0, 1.0, 0.3)

@@ -21,7 +21,7 @@ SAMPLES = {
                   "output_format='csv', units='natural')"),
     "IEpsilonPolicy": (lambda: propagators.IEpsilonPolicy(epsilon=1e-3),
                        "IEpsilonPolicy(epsilon=0.001, exact=False)"),
-    "CutoffQuantity": (lambda: propagators.CutoffQuantity(1.0, 2.0),
+    "CutoffQuantity": (lambda: radiative.CutoffQuantity(1.0, 2.0),
                        "CutoffQuantity(finite=1.0, log_coeff=2.0)"),
     "Factor": (lambda: wick.Factor("psi", 2), "Factor(kind='psi', vertex=2)"),
     "Pairing": (lambda: wick.Pairing(((0, 2),), ((1, 4),)),
@@ -99,7 +99,7 @@ def test_constructor_defaults():
     assert constants.RunConfig(alpha_override=0.01, units="SI").alpha == 0.01
     assert propagators.IEpsilonPolicy() == propagators.IEpsilonPolicy(epsilon=1e-9, exact=False)
     assert propagators.IEpsilonPolicy.exact_limit() == propagators.IEpsilonPolicy(0.0, True)
-    q = propagators.CutoffQuantity(finite=0.5, log_coeff=-1.0)
+    q = radiative.CutoffQuantity(finite=0.5, log_coeff=-1.0)
     assert (q.finite, q.log_coeff) == (0.5, -1.0)
     assert not oracles.Pair("p", abs, abs, (), 1e-8).relative
 

@@ -13,8 +13,6 @@ exit code, stdout, stderr and the --dot file, if one was written.  A
 deliberate output change rewrites the files, and their diff shows it.
 """
 
-from __future__ import annotations
-
 import contextlib
 import io
 import os
