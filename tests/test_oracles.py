@@ -94,7 +94,8 @@ DRAWS = {
     "spinor Lorentz covariance": st.tuples(st.floats(-2 * math.pi, 2 * math.pi),
                                            st.floats(-3.0, 3.0)),
     "Compton amplitude spin sum": KN_DRAWS,
-    # T from 1e-300: below about 3e-309 both forms overflow in log(1/2T) to nan
+    # T from 1e-300 and dE/T from 1e-8: where 1/2T or 1/2dE overflows (T or dE
+    # below about 2.8e-309) both sides come out nan or -inf
     "total correction f(theta) form": st.builds(
         lambda t, theta, share: (t, theta, t * share), _log_floats(1e-300, 0.2),
         st.floats(0.0, math.pi, exclude_min=True, exclude_max=True), _log_floats(1e-8, 1.0)),
