@@ -200,30 +200,14 @@ def _decaying_at(qn: DiracQuantumNumbers, alpha: float, energy: float,
                             what=f"asymptotic radial series at r = {r:g}")
 
 
-class RecursionReport:
+class RecursionReport(namedtuple("RecursionReport", "qn exponent termination_residual "
+                                 "energy_from_termination energy_closed_form "
+                                 "tail_ratio_scaled")):
     """What radial_recursion_check found: termination_residual is the
     e_{eps+n+1} coefficient at the exact energy, and tail_ratio_scaled is
     s * e_{s+1}/e_s at large s for a generic energy."""
 
-    __slots__ = ("qn", "exponent", "termination_residual", "energy_from_termination",
-                 "energy_closed_form", "tail_ratio_scaled")
-
-    def __init__(self, qn: DiracQuantumNumbers, exponent: float, termination_residual: float,
-                 energy_from_termination: float, energy_closed_form: float,
-                 tail_ratio_scaled: float):
-        self.qn = qn
-        self.exponent = exponent
-        self.termination_residual = termination_residual
-        self.energy_from_termination = energy_from_termination
-        self.energy_closed_form = energy_closed_form
-        self.tail_ratio_scaled = tail_ratio_scaled
-
-    def __repr__(self):
-        return (f"RecursionReport(qn={self.qn!r}, exponent={self.exponent!r}, "
-                f"termination_residual={self.termination_residual!r}, "
-                f"energy_from_termination={self.energy_from_termination!r}, "
-                f"energy_closed_form={self.energy_closed_form!r}, "
-                f"tail_ratio_scaled={self.tail_ratio_scaled!r})")
+    __slots__ = ()
 
     @property
     def terminates(self) -> bool:

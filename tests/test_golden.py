@@ -1,15 +1,17 @@
 """The CLI's bytes against tests/golden/, one file per argv; after a
-deliberate output change, `python3 tools/golden.py` rewrites the files."""
+deliberate output change, `python3 tools/golden.py` rewrites the files.
+Each stored --format json stdout validates against docs/output-schema.json."""
 
-import sys
-from pathlib import Path
+import json
 
+import jsonschema
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import golden  # noqa: E402
+import golden
 
 CASES = golden.cases()
+JSON_CASES = [argv for argv in CASES if argv[-2:] == ["--format", "json"] and "--help" not in argv]
+SCHEMA = json.loads((golden.ROOT / "docs" / "output-schema.json").read_text())
 
 
 def test_golden_files_are_exactly_the_cases():
@@ -24,3 +26,11 @@ def test_cli_output_matches_its_golden_file(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("QED51_CONSTANTS", raising=False)
     expected = (golden.GOLDEN / golden.file_name(argv)).read_bytes()
     assert golden.run(argv).encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("argv", JSON_CASES, ids=" ".join)
+def test_golden_json_validates_against_the_schema(argv):
+    text = (golden.GOLDEN / golden.file_name(argv)).read_text(encoding="utf-8")
+    head, _, rest = text.partition("\n--- stdout\n")
+    assert head.endswith("\nexit 0")
+    jsonschema.validate(json.loads(rest.partition("--- stderr\n")[0]), SCHEMA)

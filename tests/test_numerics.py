@@ -1,115 +1,11 @@
-import json
 import math
-import os
-import shlex
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qed51 import numerics
 from qed51.errors import NumericError
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def readme_cli_examples():
-    """argv of every `qed51 ...` example line in the README, comments dropped."""
-    return [shlex.split(line.partition("#")[0])[1:]
-            for line in README.read_text().splitlines() if line.startswith("qed51 ")]
-
-
-def test_readme_cli_examples_leave_scipy_unloaded(tmp_path):
-    examples = readme_cli_examples()
-    assert ["vacpol", "--grid=-8:4:25", "--format", "csv"] in examples
-    assert ["verify", "all"] in examples
-    script = """
-import contextlib, io, json, sys
-import qed51.cli as cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # --help
-            code = exc.code
-    assert code == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-from qed51 import radiative
-radiative.vacuum_polarization_quadrature(-10.0, 1 / 137.036)
-print("scipy.integrate" in sys.modules)
-"""
-    res = subprocess.run([sys.executable, "-c", script, json.dumps(examples)],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    # the quadrature oracle is the positive control: it does load scipy
-    assert res.stdout.splitlines()[-2:] == ["[]", "True"]
-
-
-SCALAR_COMMANDS = {"xsec", "annihilate", "o16", "lamb", "uehling", "moment",
-                   "vacpol", "hydrogen", "wick"}
-
-
-def test_scalar_cli_examples_leave_numpy_unloaded(tmp_path):
-    # one child runs the scalar README examples and a usage error, and reports
-    # the first argv after which numpy is loaded; verify, the positive
-    # control, loads it
-    examples = [argv for argv in readme_cli_examples() if argv[0] in SCALAR_COMMANDS]
-    assert {argv[0] for argv in examples} == SCALAR_COMMANDS
-    script = """
-import contextlib, io, json, sys
-import qed51.cli as cli
-print("numpy" in sys.modules)
-def loads_numpy(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            cli.main(argv)
-        except SystemExit:  # the usage error
-            pass
-    return "numpy" in sys.modules
-print([argv for argv in json.loads(sys.argv[1]) if loads_numpy(argv)][:1])
-print(loads_numpy(["verify", "tables"]))
-"""
-    res = subprocess.run([sys.executable, "-c", script,
-                          json.dumps(examples + [["frobnicate"]])],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["False", "[]", "True"]
-
-
-def test_scalar_cli_examples_leave_dataclasses_typing_and_json_unloaded(tmp_path):
-    # under -S, where no .pth file of site-packages preloads typing: one
-    # child runs the scalar README examples, --help, a usage error and, as
-    # the positive control, one --format json argv, the only one to load json
-    examples = [argv for argv in readme_cli_examples() if argv[0] in SCALAR_COMMANDS]
-    examples += [["--help"], ["frobnicate"], ["lamb", "--format", "json"]]
-    script = """
-import contextlib, io, sys
-import qed51.cli as cli
-watched = {"dataclasses", "inspect", "typing", "json"}
-print(sorted(watched & set(sys.modules)))
-for arg in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(arg.split("\\t"))
-        except SystemExit as exc:  # --help and the usage error
-            code = exc.code
-    print(code, sorted(watched & set(sys.modules)))
-"""
-    res = subprocess.run([sys.executable, "-S", "-c", script,
-                          *("\t".join(argv) for argv in examples)],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == (["[]"] + ["0 []"] * (len(examples) - 2)
-                                       + ["1 []", "0 ['json']"])
 
 
 def test_quad_returns_a_converged_value():

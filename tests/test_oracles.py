@@ -2,10 +2,6 @@
 and on random draws, and the scipy split between the two tuples."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +14,6 @@ from qed51.hydrogen import DiracQuantumNumbers
 from qed51.kinematics import FourVector
 from qed51.oracles import BY_NAME
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 ALPHA = MODERN.alpha
 ALL_PAIRS = oracles.PAIRS + oracles.NUMERIC_PAIRS
 
@@ -135,7 +130,7 @@ def test_pair_holds_on_random_draws(name, data):
     assert pair.deviation(point, data.draw(ALPHAS, label="alpha")) < pair.tol
 
 
-def test_only_numeric_pair_oracles_load_scipy(tmp_path):
+def test_only_numeric_pair_oracles_load_scipy(python_c):
     # a meta-path blocker makes every scipy import fail: every PAIRS entry and
     # every NUMERIC_PAIRS result still runs, and each NUMERIC_PAIRS oracle,
     # the positive control, reaches the blocker
@@ -162,8 +157,4 @@ for pair in oracles.NUMERIC_PAIRS:
 print(unblocked)
 print(radiative.total_scattering_correction(0.02, 1.2, 1e-4, alpha) < 1.0)
 """
-    res = subprocess.run([sys.executable, "-c", script],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == [str(len(oracles.PAIRS)), "[]", "True"]
+    assert python_c(script).splitlines() == [str(len(oracles.PAIRS)), "[]", "True"]

@@ -1,19 +1,19 @@
 import ast
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import golden
 import qed51
+from qed51 import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
 
 
-def test_import_leaves_numpy_unloaded(tmp_path):
+def test_import_leaves_numpy_unloaded(python_c):
     # submodules load on first access, so the bare package needs no numpy
     script = """
 import sys
@@ -22,14 +22,10 @@ print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("qed
 qed51.dirac
 print("numpy" in sys.modules)
 """
-    res = subprocess.run([sys.executable, "-c", script],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["False ['qed51.errors']", "True"]
+    assert python_c(script).splitlines() == ["False ['qed51.errors']", "True"]
 
 
-def test_processes_and_kinematics_import_without_numpy(tmp_path):
+def test_processes_and_kinematics_import_without_numpy(python_c):
     # the closed forms are math only; the amplitude oracles load numpy when
     # first called, and the brute-force Moller sum still matches its closed form
     script = """
@@ -39,49 +35,53 @@ print("numpy" in sys.modules, pr.moller_dcs(2.0, 0.5, 1 / 137.036) > 0.0)
 brute = pr.moller_dcs_brute(2.0, 0.5, 1 / 137.036)
 print("numpy" in sys.modules, abs(brute / pr.moller_dcs(2.0, 0.5, 1 / 137.036) - 1.0) < 1e-8)
 """
-    res = subprocess.run([sys.executable, "-c", script],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["False True", "True True"]
+    assert python_c(script).splitlines() == ["False True", "True True"]
 
 
-# Every subcommand but verify computes with math and Python ints: the cli
+# Every command but verify computes with math and Python ints: the cli
 # imports per handler, and processes loads dirac and spinors only inside the
-# amplitude oracles.
-SCALAR_ARGV = [
-    "vacpol --grid=-8:4:25 --format csv",
-    "moment --order 2",
-    "wick count --product current^5",
-    "wick graphs --product second-order-potential --dot graphs.dot",
-    "xsec compton --eps 1 --theta-grid 0:180:5 --format json",
-    "xsec moller --gamma 2 --theta-grid 10:50:5 --units SI",
-    "xsec mott --energy 1.5 --Z 79 --theta-grid 30:150:7",
-    "annihilate positronium",
-    "annihilate rate --rho 2 --v 0.01",
-    "o16 --spectrum",
-    "hydrogen levels --max-N 3 --expand --units MeV",
-    "hydrogen landau --B 0.1 --pz 0 --M 2",
-    "uehling --state 2s",
-    "lamb --budget",
-]
-
-
-def test_scalar_subcommands_load_no_numpy_or_scipy(tmp_path):
-    script = """
-import contextlib, io, sys
-from qed51.cli import main
-for argv in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = main(argv.split())
-    print(code, bool(out.getvalue()), argv)
-print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
+# amplitude oracles.  One child runs every golden argv in order, in process:
+# the scalar text and csv argv, --help and the usage errors, then the scalar
+# --format json argv, then verify.  After each it prints golden.run's exit line and which of the
+# watched modules are loaded so far; the quadrature oracle, which loads
+# scipy, ends it.
+MODULE_LOADS = """
+import sys
+def loaded():
+    watched = ("numpy", "scipy", "json", "dataclasses", "inspect", "typing")
+    return " ".join(name for name in watched if name in sys.modules)
+import golden, qed51.cli
+print("import", loaded(), sep="\\t")
+for arg in sys.argv[1:]:
+    print(golden.run(arg.split("\\t")).splitlines()[1], loaded(), sep="\\t")
+from qed51 import radiative
+radiative.vacuum_polarization_quadrature(-10.0, 1 / 137.036)
+print("scipy.integrate" in sys.modules)
 """
-    res = subprocess.run([sys.executable, "-c", script, *SCALAR_ARGV],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == [f"0 True {argv}" for argv in SCALAR_ARGV] + ["[]"]
+
+
+def test_golden_argv_load_numpy_json_and_scipy_only_where_needed(python_c, monkeypatch):
+    # under -S, where no .pth file of site-packages preloads typing: no
+    # scalar argv loads numpy, scipy, dataclasses, inspect or typing, only
+    # --format json loads json, and verify, the positive control, loads
+    # numpy but not scipy
+    def group(argv):
+        return argv[0] == "verify", "json" in argv and "--help" not in argv
+
+    argvs = sorted(golden.cases(), key=group)
+    assert set(cli.HANDLERS) <= {argv[0] for argv in argvs}
+    assert ["verify", "all"] in argvs and ["frobnicate"] in argvs
+    monkeypatch.delenv("QED51_CONSTANTS", raising=False)
+    lines = python_c(MODULE_LOADS, *map("\t".join, argvs), flags=["-S"]).splitlines()
+    assert lines[0] == "import\t" and lines[-1] == "True"
+    for argv, line in zip(argvs, lines[1:-1], strict=True):
+        exit_line, loaded = line.split("\t")
+        assert exit_line == (golden.GOLDEN / golden.file_name(argv)).read_text().splitlines()[1]
+        verify, writes_json = group(argv)
+        if verify:
+            assert {"numpy", "json"} <= set(loaded.split()) and "scipy" not in loaded, argv
+        else:
+            assert loaded == ("json" if writes_json else ""), argv
 
 
 def parse(path):
@@ -144,7 +144,7 @@ def test_every_public_name_earns_its_place():
     assert sorted(index - public.keys()) == []
 
 
-def test_radiative_leaves_hydrogen_unloaded(tmp_path):
+def test_radiative_leaves_hydrogen_unloaded(python_c):
     # the spectroscopic letters live in qed51.constants, so lamb, uehling,
     # moment and vacpol need no hydrogen module
     script = """
@@ -152,11 +152,7 @@ import sys
 import qed51.radiative
 print("qed51.hydrogen" in sys.modules)
 """
-    res = subprocess.run([sys.executable, "-c", script],
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+    assert python_c(script) == "False\n"
 
 
 def test_every_public_name_resolves():

@@ -66,6 +66,8 @@ FROZEN = {
     "Pairing": ("photon_pairs", lambda: wick.Pairing(((0, 2),), ())),
     "DiracQuantumNumbers": ("k", lambda: hydrogen.DiracQuantumNumbers(1, 1)),
     "EnergyLevel": ("energy", lambda: hydrogen.EnergyLevel(0.25, hydrogen.DiracQuantumNumbers(0, 1))),
+    "RecursionReport": ("tail_ratio_scaled", lambda: hydrogen.RecursionReport(
+        hydrogen.DiracQuantumNumbers(0, 1), 1.0, 0.0, 0.5, 0.5, 2.5)),
     "Pair": ("tol", lambda: oracles.Pair("p", abs, abs, (1.0,), 1e-8, relative=True)),
 }
 

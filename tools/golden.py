@@ -11,6 +11,8 @@ receives any --dot file, with COLUMNS=80 (so that --help wraps alike on
 every terminal) and without QED51_CONSTANTS.  A file holds the argv, the
 exit code, stdout, stderr and the --dot file, if one was written.  A
 deliberate output change rewrites the files, and their diff shows it.
+tests/test_package.py runs the same list in one child process to check
+which modules each argv loads.
 """
 
 import contextlib
@@ -29,7 +31,10 @@ README = ROOT / "README.md"
 sys.path.insert(0, str(ROOT / "src"))
 
 FORMATS = ([], ["--format", "csv"], ["--format", "json"])
-EXTRA = (["verify", "tables"], ["o16", "--spectrum"])
+EXTRA = (["verify", "tables"], ["o16", "--spectrum"], ["lamb", "--eav", "12.5Ry"],
+         ["wick", "graphs", "--product", "current^3"], ["wick", "count", "--product", "current^5"],
+         ["annihilate", "rate", "--rho", "2", "--v", "0.01"],
+         ["xsec", "compton", "--eps", "1.3", "--theta-grid", "0:180:7", "--phi", "30"])
 ERRORS = (["xsec", "compton", "--eps", "nan", "--theta-grid", "0:180:7"],
           ["lamb", "--eav", "-3"], ["frobnicate"], ["uehling", "--state", "²s"])
 
