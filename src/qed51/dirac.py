@@ -98,6 +98,13 @@ GAMMA = gammas(DYSON)
 BETA = _DYSON["beta"]
 ALPHA = (_DYSON["alpha1"], _DYSON["alpha2"], _DYSON["alpha3"])
 SIGMA4 = (_DYSON["sigma1"], _DYSON["sigma2"], _DYSON["sigma3"])
+# GAMMA as one (4, 4, 4) array: ubar @ GAMMA_STACK holds the four rows
+# ubar gamma_mu, and slash(v) is one product with its (4, 16) view
+GAMMA_STACK = np.array(GAMMA)
+I4J = 1j * I4   # i * I, the offset of the projectors p-slash + i
+for _const in (GAMMA_STACK, I4J):
+    _const.flags.writeable = False
+_GAMMA_FLAT = GAMMA_STACK.reshape(4, 16)
 
 
 def slash(v) -> np.ndarray:
@@ -106,14 +113,19 @@ def slash(v) -> np.ndarray:
     nowhere else), so slash(v) @ slash(v) = dot(v, v) * I with the (+,+,+,-)
     dot product.  Dyson only: the Feynman table, gammas("feynman"), serves
     the identity checks.
+
+    One product of the coefficients with the flattened gammas gives the
+    values of the sum of the four scaled matrices: every gamma entry is 0,
+    +-1 or +-i, so each product is exact, and no two gammas put a real (or
+    an imaginary) part on the same entry, so each sum adds exact zeros to
+    at most one term.  Only the sign of an exact zero may differ.
     """
-    g1, g2, g3, g4 = GAMMA
-    return v.x1 * g1 + v.x2 * g2 + v.x3 * g3 + 1j * v.x0 * g4
+    return np.dot((v.x1, v.x2, v.x3, 1j * v.x0), _GAMMA_FLAT).reshape(4, 4)
 
 
 def spur(mat: np.ndarray) -> complex:
     """Sum of the diagonal elements (the trace)."""
-    return complex(np.trace(mat))
+    return complex(mat.trace())
 
 
 def contracted_sandwich(vectors) -> np.ndarray:
@@ -192,7 +204,9 @@ def transform_residual(S: np.ndarray, a: np.ndarray) -> float:
 
 class CheckReport:
     """Outcome of replaying a summary table with explicit matrices: the
-    convention and a list of (label, deviation) entries, empty unless given."""
+    convention and a list of (label, deviation) entries, empty unless given.
+    A deviation is max |lhs - rhs| over the entries of one line's matrices;
+    verify_identity_tables computes those of all its lines in one pass."""
 
     __slots__ = ("convention", "entries")
 
@@ -202,10 +216,6 @@ class CheckReport:
 
     def __repr__(self):
         return f"CheckReport(convention={self.convention!r}, entries={self.entries!r})"
-
-    def add(self, label: str, lhs: np.ndarray, rhs) -> None:
-        rhs = rhs if isinstance(rhs, np.ndarray) else rhs * I4
-        self.entries.append((label, float(np.abs(lhs - rhs).max())))
 
     @property
     def max_deviation(self) -> float:
@@ -217,160 +227,178 @@ class CheckReport:
         return all(dev < TOL_TABLE for _, dev in self.entries)
 
 
-def _check_common(rep: CheckReport, m: dict, e: str, h: str, t: int) -> None:
-    """The lines both tables state; e and h name the convention's epsilon and
-    eta (Feynman's rho1 and rho2), and t indexes its time gamma (4 or 0)."""
+def _check_common(add, m: dict, e: str, h: str, t: int) -> None:
+    """The lines both tables state, each passed to add(label, lhs, rhs); e and
+    h name the convention's epsilon and eta (Feynman's rho1 and rho2), and t
+    indexes its time gamma (4 or 0)."""
     O4 = np.zeros((4, 4), dtype=complex)
     g5, eps, eta, beta = m["gamma5"], m[e], m[h], m["beta"]
     for k in range(1, 4):
         for l in range(1, 4):
             ak, al = m[f"alpha{k}"], m[f"alpha{l}"]
-            rep.add(f"alpha{k} alpha{l} + alpha{l} alpha{k} = 2 delta",
-                    ak @ al + al @ ak, 2.0 * (k == l))
+            add(f"alpha{k} alpha{l} + alpha{l} alpha{k} = 2 delta",
+                ak @ al + al @ ak, 2.0 * (k == l))
             sk, sl = m[f"sigma{k}"], m[f"sigma{l}"]
-            rep.add(f"sigma{k} sigma{l} + sigma{l} sigma{k} = 2 delta",
-                    sk @ sl + sl @ sk, 2.0 * (k == l))
-            rep.add(f"alpha{k} sigma{l} + sigma{l} alpha{k} = 2 delta {e}",
-                    ak @ sl + sl @ ak, 2.0 * (k == l) * eps)
-        rep.add(f"alpha{k} beta + beta alpha{k} = 0",
-                m[f"alpha{k}"] @ beta + beta @ m[f"alpha{k}"], O4)
-        rep.add(f"beta sigma{k} - sigma{k} beta = 0",
-                beta @ m[f"sigma{k}"] - m[f"sigma{k}"] @ beta, O4)
-    rep.add("beta^2 = I", beta @ beta, I4)
+            add(f"sigma{k} sigma{l} + sigma{l} sigma{k} = 2 delta",
+                sk @ sl + sl @ sk, 2.0 * (k == l))
+            add(f"alpha{k} sigma{l} + sigma{l} alpha{k} = 2 delta {e}",
+                ak @ sl + sl @ ak, 2.0 * (k == l) * eps)
+        add(f"alpha{k} beta + beta alpha{k} = 0",
+            m[f"alpha{k}"] @ beta + beta @ m[f"alpha{k}"], O4)
+        add(f"beta sigma{k} - sigma{k} beta = 0",
+            beta @ m[f"sigma{k}"] - m[f"sigma{k}"] @ beta, O4)
+    add("beta^2 = I", beta @ beta, I4)
     for k, l, mm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        rep.add(f"sigma{k} sigma{l} = i sigma{mm}",
-                m[f"sigma{k}"] @ m[f"sigma{l}"], 1j * m[f"sigma{mm}"])
-        rep.add(f"alpha{k} alpha{l} = i sigma{mm}",
-                m[f"alpha{k}"] @ m[f"alpha{l}"], 1j * m[f"sigma{mm}"])
-        rep.add(f"alpha{k} sigma{l} = i alpha{mm}",
-                m[f"alpha{k}"] @ m[f"sigma{l}"], 1j * m[f"alpha{mm}"])
-        rep.add(f"sigma{k} gamma{l} = i gamma{mm}",
-                m[f"sigma{k}"] @ m[f"gamma{l}"], 1j * m[f"gamma{mm}"])
-    rep.add(f"gamma{t} = beta", m[f"gamma{t}"], beta)
+        add(f"sigma{k} sigma{l} = i sigma{mm}",
+            m[f"sigma{k}"] @ m[f"sigma{l}"], 1j * m[f"sigma{mm}"])
+        add(f"alpha{k} alpha{l} = i sigma{mm}",
+            m[f"alpha{k}"] @ m[f"alpha{l}"], 1j * m[f"sigma{mm}"])
+        add(f"alpha{k} sigma{l} = i alpha{mm}",
+            m[f"alpha{k}"] @ m[f"sigma{l}"], 1j * m[f"alpha{mm}"])
+        add(f"sigma{k} gamma{l} = i gamma{mm}",
+            m[f"sigma{k}"] @ m[f"gamma{l}"], 1j * m[f"gamma{mm}"])
+    add(f"gamma{t} = beta", m[f"gamma{t}"], beta)
     for mu in (1, 2, 3, t):
-        rep.add(f"gamma{mu} gamma5 + gamma5 gamma{mu} = 0",
-                m[f"gamma{mu}"] @ g5 + g5 @ m[f"gamma{mu}"], O4)
-        rep.add(f"gamma{mu} {e} + {e} gamma{mu} = 0",
-                m[f"gamma{mu}"] @ eps + eps @ m[f"gamma{mu}"], O4)
-    rep.add(f"{e} = -i alpha1 alpha2 alpha3",
-            eps, -1j * m["alpha1"] @ m["alpha2"] @ m["alpha3"])
-    rep.add(f"{e}^2 = I", eps @ eps, I4)
-    rep.add(f"{h}^2 = I", eta @ eta, I4)
-    rep.add(f"{h} = i {e} beta", eta, 1j * eps @ beta)
-    rep.add(f"{e} = -i {h} beta", eps, -1j * eta @ beta)
+        add(f"gamma{mu} gamma5 + gamma5 gamma{mu} = 0",
+            m[f"gamma{mu}"] @ g5 + g5 @ m[f"gamma{mu}"], O4)
+        add(f"gamma{mu} {e} + {e} gamma{mu} = 0",
+            m[f"gamma{mu}"] @ eps + eps @ m[f"gamma{mu}"], O4)
+    add(f"{e} = -i alpha1 alpha2 alpha3",
+        eps, -1j * m["alpha1"] @ m["alpha2"] @ m["alpha3"])
+    add(f"{e}^2 = I", eps @ eps, I4)
+    add(f"{h}^2 = I", eta @ eta, I4)
+    add(f"{h} = i {e} beta", eta, 1j * eps @ beta)
+    add(f"{e} = -i {h} beta", eps, -1j * eta @ beta)
     # Dyson's table prints "eta = -alpha1 alpha2 alpha3" and Feynman's
     # "rho2 = -alpha1 alpha2 alpha3 beta"; the explicit matrices give
     # alpha1 alpha2 alpha3 beta (corrected).
-    rep.add(f"{h} = alpha1 alpha2 alpha3 beta (corrected)",
-            eta, m["alpha1"] @ m["alpha2"] @ m["alpha3"] @ beta)
+    add(f"{h} = alpha1 alpha2 alpha3 beta (corrected)",
+        eta, m["alpha1"] @ m["alpha2"] @ m["alpha3"] @ beta)
     for k in range(1, 4):
-        rep.add(f"sigma{k} = {e} alpha{k}", m[f"sigma{k}"], eps @ m[f"alpha{k}"])
-        rep.add(f"alpha{k} = {e} sigma{k}", m[f"alpha{k}"], eps @ m[f"sigma{k}"])
-        rep.add(f"alpha{k} {e} - {e} alpha{k} = 0",
-                m[f"alpha{k}"] @ eps - eps @ m[f"alpha{k}"], O4)
-        rep.add(f"sigma{k} {e} - {e} sigma{k} = 0",
-                m[f"sigma{k}"] @ eps - eps @ m[f"sigma{k}"], O4)
-        rep.add(f"alpha{k} gamma5 - gamma5 alpha{k} = 0",
-                m[f"alpha{k}"] @ g5 - g5 @ m[f"alpha{k}"], O4)
-        rep.add(f"alpha{k} {h} + {h} alpha{k} = 0",
-                m[f"alpha{k}"] @ eta + eta @ m[f"alpha{k}"], O4)
-        rep.add(f"gamma{k} {h} - {h} gamma{k} = 0",
-                m[f"gamma{k}"] @ eta - eta @ m[f"gamma{k}"], O4)
-        rep.add(f"sigma{k} {h} - {h} sigma{k} = 0",
-                m[f"sigma{k}"] @ eta - eta @ m[f"sigma{k}"], O4)
-    rep.add(f"beta {h} + {h} beta = 0", beta @ eta + eta @ beta, O4)
+        add(f"sigma{k} = {e} alpha{k}", m[f"sigma{k}"], eps @ m[f"alpha{k}"])
+        add(f"alpha{k} = {e} sigma{k}", m[f"alpha{k}"], eps @ m[f"sigma{k}"])
+        add(f"alpha{k} {e} - {e} alpha{k} = 0",
+            m[f"alpha{k}"] @ eps - eps @ m[f"alpha{k}"], O4)
+        add(f"sigma{k} {e} - {e} sigma{k} = 0",
+            m[f"sigma{k}"] @ eps - eps @ m[f"sigma{k}"], O4)
+        add(f"alpha{k} gamma5 - gamma5 alpha{k} = 0",
+            m[f"alpha{k}"] @ g5 - g5 @ m[f"alpha{k}"], O4)
+        add(f"alpha{k} {h} + {h} alpha{k} = 0",
+            m[f"alpha{k}"] @ eta + eta @ m[f"alpha{k}"], O4)
+        add(f"gamma{k} {h} - {h} gamma{k} = 0",
+            m[f"gamma{k}"] @ eta - eta @ m[f"gamma{k}"], O4)
+        add(f"sigma{k} {h} - {h} sigma{k} = 0",
+            m[f"sigma{k}"] @ eta - eta @ m[f"sigma{k}"], O4)
+    add(f"beta {h} + {h} beta = 0", beta @ eta + eta @ beta, O4)
 
 
-def _check_dyson(rep: CheckReport, m: dict) -> None:
+def _check_dyson(add, m: dict) -> None:
     g5, eps, eta, beta = m["gamma5"], m["epsilon"], m["eta"], m["beta"]
     idx = (1, 2, 3, 4)
     for k in range(1, 4):
-        rep.add(f"gamma{k} = -i beta alpha{k}",
-                m[f"gamma{k}"], -1j * beta @ m[f"alpha{k}"])
-        rep.add(f"alpha{k} = i beta gamma{k}",
-                m[f"alpha{k}"], 1j * beta @ m[f"gamma{k}"])
-        rep.add(f"(gamma{k})* = gamma{k} (hermitian)",
-                m[f"gamma{k}"].conj().T, m[f"gamma{k}"])
+        add(f"gamma{k} = -i beta alpha{k}",
+            m[f"gamma{k}"], -1j * beta @ m[f"alpha{k}"])
+        add(f"alpha{k} = i beta gamma{k}",
+            m[f"alpha{k}"], 1j * beta @ m[f"gamma{k}"])
+        add(f"(gamma{k})* = gamma{k} (hermitian)",
+            m[f"gamma{k}"].conj().T, m[f"gamma{k}"])
         for l in range(1, 4):
-            rep.add(f"alpha{k} gamma{l} - gamma{l} alpha{k} = 2i delta beta",
-                    m[f"alpha{k}"] @ m[f"gamma{l}"] - m[f"gamma{l}"] @ m[f"alpha{k}"],
-                    2j * (k == l) * beta)
-            rep.add(f"gamma{k} sigma{l} + sigma{l} gamma{k} = 2 delta eta",
-                    m[f"gamma{k}"] @ m[f"sigma{l}"] + m[f"sigma{l}"] @ m[f"gamma{k}"],
-                    2.0 * (k == l) * eta)
+            add(f"alpha{k} gamma{l} - gamma{l} alpha{k} = 2i delta beta",
+                m[f"alpha{k}"] @ m[f"gamma{l}"] - m[f"gamma{l}"] @ m[f"alpha{k}"],
+                2j * (k == l) * beta)
+            add(f"gamma{k} sigma{l} + sigma{l} gamma{k} = 2 delta eta",
+                m[f"gamma{k}"] @ m[f"sigma{l}"] + m[f"sigma{l}"] @ m[f"gamma{k}"],
+                2.0 * (k == l) * eta)
     for mu in idx:
         for nu in idx:
-            rep.add(f"gamma{mu} gamma{nu} + gamma{nu} gamma{mu} = 2 delta",
-                    m[f"gamma{mu}"] @ m[f"gamma{nu}"] + m[f"gamma{nu}"] @ m[f"gamma{mu}"],
-                    2.0 * (mu == nu))
-    rep.add("gamma5 = gamma1 gamma2 gamma3 gamma4",
-            g5, m["gamma1"] @ m["gamma2"] @ m["gamma3"] @ m["gamma4"])
-    rep.add("gamma5^2 = I", g5 @ g5, I4)
-    rep.add("gamma5 = -epsilon", g5, -eps)
+            add(f"gamma{mu} gamma{nu} + gamma{nu} gamma{mu} = 2 delta",
+                m[f"gamma{mu}"] @ m[f"gamma{nu}"] + m[f"gamma{nu}"] @ m[f"gamma{mu}"],
+                2.0 * (mu == nu))
+    add("gamma5 = gamma1 gamma2 gamma3 gamma4",
+        g5, m["gamma1"] @ m["gamma2"] @ m["gamma3"] @ m["gamma4"])
+    add("gamma5^2 = I", g5 @ g5, I4)
+    add("gamma5 = -epsilon", g5, -eps)
     for k in range(1, 4):
-        rep.add(f"sigma{k} = eta gamma{k}", m[f"sigma{k}"], eta @ m[f"gamma{k}"])
-        rep.add(f"gamma{k} = eta sigma{k}", m[f"gamma{k}"], eta @ m[f"sigma{k}"])
+        add(f"sigma{k} = eta gamma{k}", m[f"sigma{k}"], eta @ m[f"gamma{k}"])
+        add(f"gamma{k} = eta sigma{k}", m[f"gamma{k}"], eta @ m[f"sigma{k}"])
     for k, l, mm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        rep.add(f"gamma{k} gamma{l} = i sigma{mm}",
-                m[f"gamma{k}"] @ m[f"gamma{l}"], 1j * m[f"sigma{mm}"])
-        rep.add(f"gamma{k} alpha{l} = beta sigma{mm}",
-                m[f"gamma{k}"] @ m[f"alpha{l}"], beta @ m[f"sigma{mm}"])
+        add(f"gamma{k} gamma{l} = i sigma{mm}",
+            m[f"gamma{k}"] @ m[f"gamma{l}"], 1j * m[f"sigma{mm}"])
+        add(f"gamma{k} alpha{l} = beta sigma{mm}",
+            m[f"gamma{k}"] @ m[f"alpha{l}"], beta @ m[f"sigma{mm}"])
     # Comparison with the Dirac notation.
-    rep.add("rho1 = epsilon", m["rho1"], eps)
-    rep.add("rho2 = eta", m["rho2"], eta)
-    rep.add("rho3 = beta", m["rho3"], beta)
+    add("rho1 = epsilon", m["rho1"], eps)
+    add("rho2 = eta", m["rho2"], eta)
+    add("rho3 = beta", m["rho3"], beta)
 
 
-def _check_feynman(rep: CheckReport, m: dict) -> None:
+def _check_feynman(add, m: dict) -> None:
     g5, r1, r2, beta = m["gamma5"], m["rho1"], m["rho2"], m["beta"]
     g = {0: 1.0, 1: -1.0, 2: -1.0, 3: -1.0}
     for k in range(1, 4):
-        rep.add(f"gamma{k} = beta alpha{k}", m[f"gamma{k}"], beta @ m[f"alpha{k}"])
-        rep.add(f"alpha{k} = beta gamma{k}", m[f"alpha{k}"], beta @ m[f"gamma{k}"])
-        rep.add(f"(gamma{k})* = -gamma{k} (anti-hermitian)",
-                m[f"gamma{k}"].conj().T, -m[f"gamma{k}"])
+        add(f"gamma{k} = beta alpha{k}", m[f"gamma{k}"], beta @ m[f"alpha{k}"])
+        add(f"alpha{k} = beta gamma{k}", m[f"alpha{k}"], beta @ m[f"gamma{k}"])
+        add(f"(gamma{k})* = -gamma{k} (anti-hermitian)",
+            m[f"gamma{k}"].conj().T, -m[f"gamma{k}"])
         for l in range(1, 4):
-            rep.add(f"alpha{k} gamma{l} - gamma{l} alpha{k} = -2 delta beta",
-                    m[f"alpha{k}"] @ m[f"gamma{l}"] - m[f"gamma{l}"] @ m[f"alpha{k}"],
-                    -2.0 * (k == l) * beta)
+            add(f"alpha{k} gamma{l} - gamma{l} alpha{k} = -2 delta beta",
+                m[f"alpha{k}"] @ m[f"gamma{l}"] - m[f"gamma{l}"] @ m[f"alpha{k}"],
+                -2.0 * (k == l) * beta)
             # Table prints -2 delta rho2; the explicit matrices give +2i delta rho2.
-            rep.add(f"gamma{k} sigma{l} + sigma{l} gamma{k} = 2i delta rho2 (corrected)",
-                    m[f"gamma{k}"] @ m[f"sigma{l}"] + m[f"sigma{l}"] @ m[f"gamma{k}"],
-                    2j * (k == l) * r2)
+            add(f"gamma{k} sigma{l} + sigma{l} gamma{k} = 2i delta rho2 (corrected)",
+                m[f"gamma{k}"] @ m[f"sigma{l}"] + m[f"sigma{l}"] @ m[f"gamma{k}"],
+                2j * (k == l) * r2)
     for mu in range(4):
         for nu in range(4):
-            rep.add(f"gamma{mu} gamma{nu} + gamma{nu} gamma{mu} = 2 g_mu_nu",
-                    m[f"gamma{mu}"] @ m[f"gamma{nu}"] + m[f"gamma{nu}"] @ m[f"gamma{mu}"],
-                    2.0 * g[mu] * (mu == nu))
+            add(f"gamma{mu} gamma{nu} + gamma{nu} gamma{mu} = 2 g_mu_nu",
+                m[f"gamma{mu}"] @ m[f"gamma{nu}"] + m[f"gamma{nu}"] @ m[f"gamma{mu}"],
+                2.0 * g[mu] * (mu == nu))
     # Table prints gamma5 = i g0 g1 g2 g3 = rho1 alongside gamma5^2 = -I;
     # only gamma5 = g0 g1 g2 g3 (hence rho1 = i gamma5) satisfies the square.
-    rep.add("gamma5 = gamma0 gamma1 gamma2 gamma3 (corrected)",
-            g5, m["gamma0"] @ m["gamma1"] @ m["gamma2"] @ m["gamma3"])
-    rep.add("gamma5^2 = -I", g5 @ g5, -I4)
-    rep.add("rho1 = i gamma5 (corrected)", r1, 1j * g5)
+    add("gamma5 = gamma0 gamma1 gamma2 gamma3 (corrected)",
+        g5, m["gamma0"] @ m["gamma1"] @ m["gamma2"] @ m["gamma3"])
+    add("gamma5^2 = -I", g5 @ g5, -I4)
+    add("rho1 = i gamma5 (corrected)", r1, 1j * g5)
     for k in range(1, 4):
-        rep.add(f"sigma{k} = -i rho2 gamma{k}", m[f"sigma{k}"], -1j * r2 @ m[f"gamma{k}"])
-        rep.add(f"gamma{k} = i rho2 sigma{k}", m[f"gamma{k}"], 1j * r2 @ m[f"sigma{k}"])
+        add(f"sigma{k} = -i rho2 gamma{k}", m[f"sigma{k}"], -1j * r2 @ m[f"gamma{k}"])
+        add(f"gamma{k} = i rho2 sigma{k}", m[f"gamma{k}"], 1j * r2 @ m[f"sigma{k}"])
     for k, l, mm in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        rep.add(f"-gamma{k} gamma{l} = i sigma{mm}",
-                -m[f"gamma{k}"] @ m[f"gamma{l}"], 1j * m[f"sigma{mm}"])
-        rep.add(f"gamma{k} alpha{l} = i beta sigma{mm}",
-                m[f"gamma{k}"] @ m[f"alpha{l}"], 1j * beta @ m[f"sigma{mm}"])
+        add(f"-gamma{k} gamma{l} = i sigma{mm}",
+            -m[f"gamma{k}"] @ m[f"gamma{l}"], 1j * m[f"sigma{mm}"])
+        add(f"gamma{k} alpha{l} = i beta sigma{mm}",
+            m[f"gamma{k}"] @ m[f"alpha{l}"], 1j * beta @ m[f"sigma{mm}"])
+
+
+def _table_lines(conv: str, m: dict) -> list:
+    """(label, lhs, rhs) for every line of a normalized convention's table,
+    in table order; rhs is a matrix or a number standing for that multiple
+    of the identity."""
+    lines = []
+
+    def add(label: str, lhs: np.ndarray, rhs) -> None:
+        lines.append((label, lhs, rhs))
+
+    if conv == DYSON:
+        _check_common(add, m, "epsilon", "eta", 4)
+        _check_dyson(add, m)
+    else:
+        _check_common(add, m, "rho1", "rho2", 0)
+        _check_feynman(add, m)
+    return lines
 
 
 def verify_identity_tables(conv: str = DYSON, matrices: dict | None = None) -> CheckReport:
     """Replay every line of the selected summary table with explicit matrices.
 
     Passing a (possibly perturbed) ``matrices`` dict makes negative controls
-    easy; by default the table's own matrices are used.
+    easy; by default the table's own matrices are used.  The lines are
+    stacked, so one subtraction, abs and max give every line's deviation;
+    all three act entry by entry, so each value is bit for bit the one its
+    line gives alone.
     """
     conv = _normalize(conv)
     m = matrices if matrices is not None else _table(conv)
-    rep = CheckReport(convention=conv)
-    if conv == DYSON:
-        _check_common(rep, m, "epsilon", "eta", 4)
-        _check_dyson(rep, m)
-    else:
-        _check_common(rep, m, "rho1", "rho2", 0)
-        _check_feynman(rep, m)
-    return rep
+    labels, lhs, rhs = zip(*_table_lines(conv, m))
+    rhs = np.array([r if isinstance(r, np.ndarray) else r * I4 for r in rhs])
+    devs = np.abs(np.array(lhs) - rhs).max(axis=(1, 2))
+    return CheckReport(conv, list(zip(labels, devs.tolist())))

@@ -78,8 +78,9 @@ def spin_sum(O: np.ndarray, P: np.ndarray, state: ElectronState, sign: int,
 def spin_sum_direct(O: np.ndarray, P: np.ndarray, state: ElectronState, sign: int,
                     s: np.ndarray, r: np.ndarray) -> complex:
     """The same sum evaluated term by term over the two returned spinors."""
-    ua, ub = plane_wave_spinors(state, sign)
-    return sum(bar_sandwich(s, O, u) * bar_sandwich(u, P, r) for u in (ua, ub))
+    row = adjoint(s) @ O
+    return sum(complex(row.dot(u)) * bar_sandwich(u, P, r)
+               for u in plane_wave_spinors(state, sign))
 
 
 def completeness_matrix(state: ElectronState) -> np.ndarray:

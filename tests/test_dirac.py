@@ -1,7 +1,10 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qed51 import dirac
 from qed51.errors import DomainError
@@ -188,6 +191,54 @@ def test_tables_are_built_once_and_read_only():
     assert dirac.gammas()[3] is dirac.GAMMA[3]
     with pytest.raises(ValueError):
         dirac.gammas("dyson")[0][0, 0] = 1.0
+    assert np.array_equal(dirac.GAMMA_STACK, dirac.GAMMA)
+    assert np.array_equal(dirac.I4J, 1j * dirac.I4)
+    for const in (dirac.GAMMA_STACK, dirac.I4J, dirac._GAMMA_FLAT):
+        with pytest.raises(ValueError):
+            const[(0,) * const.ndim] = 1.0
+
+
+# Components as slash meets them: ints pass unconverted (a FourVector would
+# turn them into floats), with signed zeros, the smallest subnormal and 1e300.
+COMPONENT = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(COMPONENT, COMPONENT, COMPONENT, COMPONENT)
+@example(-0.0, 0.0, 5e-324, -1e300)
+@example(1, 0, -2, 3)
+def test_slash_equals_the_sum_of_scaled_gammas(x1, x2, x3, x0):
+    # the replaced expression, compared by value: only an exact zero's sign may differ
+    v = SimpleNamespace(x1=x1, x2=x2, x3=x3, x0=x0)
+    g1, g2, g3, g4 = dirac.GAMMA
+    assert np.array_equal(dirac.slash(v), v.x1 * g1 + v.x2 * g2 + v.x3 * g3 + 1j * v.x0 * g4)
+
+
+def test_spur_equals_numpy_trace():
+    for _ in range(200):
+        mat = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+        assert dirac.spur(mat) == complex(np.trace(mat))
+
+
+def _line_deviation(lhs, rhs):
+    # one table line on its own, as each line was taken before the lines were stacked
+    rhs = rhs if isinstance(rhs, np.ndarray) else rhs * dirac.I4
+    return float(np.abs(lhs - rhs).max())
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("conv", [dirac.DYSON, dirac.FEYNMAN])
+def test_stacked_table_deviations_equal_the_per_line_ones(conv, perturbed):
+    m = {k: v.copy() for k, v in dirac.build_matrices(conv).items()}
+    if perturbed:   # every line then deviates, by amounts that round differently
+        for mat in m.values():
+            mat += 1e-7 * (RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
+    rep = dirac.verify_identity_tables(conv, matrices=m)
+    assert rep.entries == [(label, _line_deviation(lhs, rhs))
+                           for label, lhs, rhs in dirac._table_lines(conv, m)]
+    assert rep.passed is not perturbed
+    assert all(type(dev) is float for _, dev in rep.entries)
 
 
 def test_rotation_by_two_pi_is_minus_one():

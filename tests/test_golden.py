@@ -1,8 +1,10 @@
-"""The CLI's bytes against tests/golden/, one file per argv; after a
-deliberate output change, `python3 tools/golden.py` rewrites the files.
+"""The CLI's bytes against tests/golden/, one file per argv (or its Python
+version's own file, see tools/golden.py); after a deliberate output change,
+`python3 tools/golden.py` rewrites the files.
 Each stored --format json stdout validates against docs/output-schema.json."""
 
 import json
+import re
 
 import jsonschema
 import pytest
@@ -15,8 +17,14 @@ SCHEMA = json.loads((golden.ROOT / "docs" / "output-schema.json").read_text())
 
 
 def test_golden_files_are_exactly_the_cases():
-    assert sorted(path.name for path in golden.GOLDEN.iterdir()) == sorted(
-        map(golden.file_name, CASES))
+    names = set(map(golden.file_name, CASES))
+    dirs = [path for path in golden.GOLDEN.iterdir() if path.is_dir()]
+    assert sorted(path.name for path in golden.GOLDEN.iterdir() if path not in dirs) == sorted(
+        names)
+    # a later Python's own directory holds only files of cases
+    for path in dirs:
+        assert re.fullmatch(r"py3\.\d+", path.name)
+        assert {own.name for own in path.iterdir()} <= names
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
@@ -24,7 +32,7 @@ def test_cli_output_matches_its_golden_file(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)   # --dot writes here
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv("QED51_CONSTANTS", raising=False)
-    expected = (golden.GOLDEN / golden.file_name(argv)).read_bytes()
+    expected = golden.expected_path(argv).read_bytes()
     assert golden.run(argv).encode("utf-8") == expected
 
 

@@ -76,7 +76,7 @@ def test_golden_argv_load_numpy_json_and_scipy_only_where_needed(python_c, monke
     assert lines[0] == "import\t" and lines[-1] == "True"
     for argv, line in zip(argvs, lines[1:-1], strict=True):
         exit_line, loaded = line.split("\t")
-        assert exit_line == (golden.GOLDEN / golden.file_name(argv)).read_text().splitlines()[1]
+        assert exit_line == golden.expected_path(argv).read_text().splitlines()[1]
         verify, writes_json = group(argv)
         if verify:
             assert {"numpy", "json"} <= set(loaded.split()) and "scipy" not in loaded, argv

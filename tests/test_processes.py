@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qed51 import processes as pr
 from qed51 import spinors
 from qed51.errors import DomainError, NumericError, PoleError
-from qed51.dirac import I4, slash, spur
+from qed51.dirac import GAMMA, I4, slash, spur
 from qed51.kinematics import (ElectronState, FourVector, electron_at_rest,
                               electron_from_energy, moller_cm_angle, moller_cm_momenta,
                               two_body_cross_section)
@@ -91,6 +91,16 @@ def test_moller_dcs_finite_positive_or_numeric_error(gamma, theta):
     except NumericError:
         return
     assert math.isfinite(val) and val > 0.0
+
+
+def test_gamma_rows_and_currents_equal_the_per_gamma_products():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        up, u = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
+        per_gamma = [spinors.adjoint(up) @ g for g in GAMMA]   # the replaced rows
+        rows = pr._gamma_rows(up)
+        assert all(np.array_equal(row, ref) for row, ref in zip(rows, per_gamma, strict=True))
+        assert pr._current(rows, u) == [row @ u for row in per_gamma]
 
 
 def _moller_dcs_per_configuration(gamma, theta):
@@ -570,7 +580,6 @@ def test_bhabha_amplitude_channels():
     t_den = (p_in - p_out).dot(p_in - p_out)
     s_den = (p_in + q_in).dot(p_in + q_in)
     direct = exch = 0.0j
-    from qed51.dirac import GAMMA
     for g in GAMMA:
         direct += (spinors.adjoint(u_out) @ g @ u_in) * (spinors.adjoint(v_in) @ g @ v_out)
         exch += (spinors.adjoint(v_in) @ g @ u_in) * (spinors.adjoint(u_out) @ g @ v_out)

@@ -172,3 +172,19 @@ def test_spin_sum_identity_operators():
     via = spinors.spin_sum(I, I, st, +1, s, r)
     direct = spinors.spin_sum_direct(I, I, st, +1, s, r)
     assert abs(via - direct) < 1e-10 * max(1.0, abs(via))
+
+
+def _spin_sum_direct_per_pair(O, P, state, sign, s, r):
+    # the replaced form: both sandwiches taken whole for each spinor
+    ua, ub = spinors.plane_wave_spinors(state, sign)
+    return sum(spinors.bar_sandwich(s, O, u) * spinors.bar_sandwich(u, P, r) for u in (ua, ub))
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_spin_sum_direct_equals_the_per_pair_form(sign):
+    for _ in range(100):
+        st = random_state()
+        O, P = (RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)) for _ in range(2))
+        s, r = (RNG.normal(size=4) + 1j * RNG.normal(size=4) for _ in range(2))
+        assert (spinors.spin_sum_direct(O, P, st, sign, s, r)
+                == _spin_sum_direct_per_pair(O, P, st, sign, s, r))

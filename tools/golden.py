@@ -13,6 +13,11 @@ exit code, stdout, stderr and the --dot file, if one was written.  A
 deliberate output change rewrites the files, and their diff shows it.
 tests/test_package.py runs the same list in one child process to check
 which modules each argv loads.
+
+argparse wraps usage lines differently from Python 3.13 on, so the shared
+files are those of Python 3.10-3.12.  Under a later Python the script writes
+only the files whose text differs, into tests/golden/py3.X/, and
+expected_path prefers those under that version.
 """
 
 import contextlib
@@ -37,6 +42,8 @@ EXTRA = (["verify", "tables"], ["o16", "--spectrum"], ["lamb", "--eav", "12.5Ry"
          ["xsec", "compton", "--eps", "1.3", "--theta-grid", "0:180:7", "--phi", "30"])
 ERRORS = (["xsec", "compton", "--eps", "nan", "--theta-grid", "0:180:7"],
           ["lamb", "--eav", "-3"], ["frobnicate"], ["uehling", "--state", "²s"])
+SHARED_UP_TO = (3, 12)   # the last Python whose output the shared files hold
+VERSION_DIR = GOLDEN / "py{}.{}".format(*sys.version_info[:2])
 
 
 def readme_argv() -> list:
@@ -52,6 +59,13 @@ def cases() -> list:
 
 def file_name(argv) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", " ".join(argv)).strip("_") + ".txt"
+
+
+def expected_path(argv) -> Path:
+    """The golden file of argv under the running Python: its version's own
+    file where there is one, else the shared file."""
+    own = VERSION_DIR / file_name(argv)
+    return own if own.exists() else GOLDEN / file_name(argv)
 
 
 def run(argv) -> str:
@@ -79,26 +93,31 @@ def run(argv) -> str:
     return text
 
 
-def write(directory: Path, argvs) -> None:
-    """Replace the golden files in directory by one per argv."""
+def write(directory: Path, argvs, shared: Path | None = None) -> None:
+    """Replace the golden files in directory by one per argv; given a
+    shared directory, only by those whose text differs from its file."""
     directory.mkdir(parents=True, exist_ok=True)
     for old in directory.glob("*.txt"):
         old.unlink()
     for argv in argvs:
-        (directory / file_name(argv)).write_bytes(run(argv).encode("utf-8"))
+        text = run(argv).encode("utf-8")
+        if shared is None or text != (shared / file_name(argv)).read_bytes():
+            (directory / file_name(argv)).write_bytes(text)
 
 
 def main() -> int:
     os.environ["COLUMNS"] = "80"
     os.environ.pop("QED51_CONSTANTS", None)
     argvs, home = cases(), os.getcwd()
+    own = sys.version_info[:2] > SHARED_UP_TO
+    target = VERSION_DIR if own else GOLDEN
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            write(GOLDEN, argvs)
+            write(target, argvs, shared=GOLDEN if own else None)
         finally:
             os.chdir(home)
-    print(f"wrote {len(argvs)} files to {GOLDEN}")
+    print(f"ran {len(argvs)} argv, wrote their files to {target}")
     return 0
 
 

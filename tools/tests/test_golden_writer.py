@@ -34,3 +34,14 @@ def test_cases_cover_every_readme_example_in_three_formats():
     assert ["verify", "all", "--format", "json"] in cases
     assert len(cases) == 3 * (len(golden.readme_argv()) + len(golden.EXTRA)) + len(golden.ERRORS)
     assert len(set(map(golden.file_name, cases))) == len(cases)
+
+
+def test_write_beside_a_shared_directory_keeps_only_the_files_that_differ(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["moment"], ["lamb", "--eav", "-3"]]
+    shared, own = tmp_path / "shared", tmp_path / "py3.99"
+    golden.write(shared, argvs)
+    (shared / "moment.txt").write_text("what another Python printed\n")
+    golden.write(own, argvs, shared=shared)
+    assert [p.name for p in own.iterdir()] == ["moment.txt"]
