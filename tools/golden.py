@@ -95,7 +95,8 @@ def run(argv) -> str:
 
 def write(directory: Path, argvs, shared: Path | None = None) -> None:
     """Replace the golden files in directory by one per argv; given a
-    shared directory, only by those whose text differs from its file."""
+    shared directory, which must hold every argv's file, only by those
+    whose text differs from it."""
     directory.mkdir(parents=True, exist_ok=True)
     for old in directory.glob("*.txt"):
         old.unlink()
