@@ -1,6 +1,8 @@
 """The package's one interface to scipy: checked quadrature (QUADPACK), ODE
 endpoints (ODEPACK's LSODA) and bracketed root finding (brentq), plus a
-Gauss-Legendre rule that needs no scipy.
+Gauss-Legendre rule that needs no scipy.  gauss calls its integrand once,
+on the nodes of both its rules together, so the integrand must act
+elementwise on a numpy array.
 
 scipy, and numpy for the Gauss nodes, are imported inside each call, never
 when this module loads, so a command that integrates nothing never pays for
@@ -39,30 +41,34 @@ def _check(err: float, scale: float, tol: float, what: str) -> None:
 
 
 @functools.cache
-def _legendre(n: int):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n.
-    Every gauss call shares them, so they are read-only."""
+def _gauss_rule(n: int):
+    """The n- and n/2-point Gauss-Legendre rules on [-1, 1], built once per n
+    (one leggauss call per node count): both rules' nodes stacked, n then
+    n/2, with the 1.0 that maps them onto [0, 2] already added, and each
+    rule's weights.  Every gauss call shares them, so they are read-only."""
     import numpy as np
 
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    half_nodes, half_weights = np.polynomial.legendre.leggauss(n // 2)
+    shifted = np.concatenate((nodes + 1.0, half_nodes + 1.0))
+    for arr in (shifted, weights, half_weights):
+        arr.flags.writeable = False
+    return shifted, weights, half_weights
 
 
 def gauss(f, a: float, b: float, *, tol: float, what: str) -> float:
     """GAUSS_NODES-point Gauss-Legendre rule on [a, b], checked against the
     rule with half as many nodes; f maps a numpy array of nodes to values.
+    f is called once, on both rules' nodes together, so it must act
+    elementwise: each node's value may not depend on the others.
     For integrands smooth on the closed interval (map endpoint singularities
     and infinite ranges away first); numpy only, so it never loads scipy.
     The package's only Gauss rule; its nodes are cached per n."""
-    def rule(n):
-        nodes, weights = _legendre(n)
-        half = 0.5 * (b - a)
-        return half * float(weights @ f(a + half * (nodes + 1.0)))
-
-    val = rule(GAUSS_NODES)
-    _check(abs(val - rule(GAUSS_NODES // 2)), abs(val), tol, what)
+    nodes, weights, half_weights = _gauss_rule(GAUSS_NODES)
+    half = 0.5 * (b - a)
+    vals = f(a + half * nodes)
+    val = half * float(weights @ vals[:GAUSS_NODES])
+    _check(abs(val - half * float(half_weights @ vals[GAUSS_NODES:])), abs(val), tol, what)
     return val
 
 
@@ -72,12 +78,15 @@ def quad(f, a, b, *, tol: float, what: str) -> float:
     subdivisions).  With full_output QUADPACK returns its failure message
     (subdivision limit, roundoff, divergence) as a fourth element instead of
     issuing an IntegrationWarning, so no process-global warning filter is
-    touched; the message becomes NumericError, and so does a non-finite
-    value."""
+    touched; the message becomes NumericError, and so do a non-finite value
+    and an OverflowError raised by f."""
     from scipy import integrate
 
-    val, err, _info, *failure = integrate.quad(f, a, b, full_output=1, epsabs=tol,
-                                               epsrel=tol, limit=QUAD_LIMIT)
+    try:
+        val, err, _info, *failure = integrate.quad(f, a, b, full_output=1, epsabs=tol,
+                                                   epsrel=tol, limit=QUAD_LIMIT)
+    except OverflowError as exc:   # float ** or math.exp in the integrand
+        raise NumericError(f"{what} failed: the integrand overflowed") from exc
     if failure:
         raise NumericError(f"{what} failed to converge: {failure[0]}")
     _check(err, abs(val), tol, what)

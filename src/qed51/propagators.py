@@ -10,7 +10,9 @@ oracle (4-sphere surface 2 pi^2).
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from collections import namedtuple
 
 from . import numerics
@@ -34,6 +36,11 @@ class IEpsilonPolicy(namedtuple("IEpsilonPolicy", "epsilon exact")):
 
 
 DEFAULT_POLICY = IEpsilonPolicy()
+# feynman_combine2's Gauss route checks these before any numpy call, so that
+# no overflow warning reaches stderr: |log(a/b)| within exp's range, and an
+# integrand whose weighted sum stays finite.
+_LOG_MAX = math.log(sys.float_info.max)
+_PEAK_MAX = sys.float_info.max / 4.0
 _CROSSING = ("combination denominator crosses zero; supply an i-epsilon "
              "far above the default, such as 1e-3")
 
@@ -68,7 +75,9 @@ def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
     quadrature, or by Gauss-Legendre for real endpoints of one sign in exact
     mode.  Equals 1/(a b) when the segment from b to a avoids the origin.
     A segment through the origin needs an i-epsilon far above the default
-    (1e-3 converges, 1e-9 raises NumericError); exact mode raises PoleError."""
+    (1e-3 converges, 1e-9 raises NumericError); exact mode raises PoleError.
+    In exact mode an a/b or an integrand beyond the float range raises
+    NumericError."""
     import numpy as np
 
     a, b = complex(a), complex(b)
@@ -80,10 +89,19 @@ def feynman_combine2(a, b, policy: IEpsilonPolicy = DEFAULT_POLICY) -> complex:
         # smooth in u for any ratio (du/b^2 when a = b)
         ar, br = a.real, b.real
         ratio = ar / br
+        if not 0.0 < ratio < math.inf:
+            raise NumericError("quadrature failed: a/b is outside the float range")
         # a - b is exact within a factor 2 (Sterbenz), where log1p keeps log(r) accurate
         log_r = math.log1p((ar - br) / br) if 0.5 <= ratio <= 2.0 else math.log(ratio)
+        if abs(log_r) > _LOG_MAX:
+            raise NumericError("quadrature failed: log(a/b) is outside exp's range")
         jac = log_r / (ar - br) if ar != br else 1.0 / br
-        return complex(numerics.gauss(lambda u: jac / br * np.exp(-log_r * u), 0.0, 1.0,
+        scale = jac / br
+        # scale r^-u is largest at u = 0 or u = 1; the rule's weights sum to 2,
+        # so a peak under a quarter of the largest float keeps its sum finite
+        if not abs(scale) * math.exp(max(0.0, -log_r)) < _PEAK_MAX:
+            raise NumericError("quadrature failed: the integrand overflows")
+        return complex(numerics.gauss(lambda u: scale * np.exp(-log_r * u), 0.0, 1.0,
                                       tol=1e-6, what="quadrature"))
     shift = 0.0 if policy.exact else -1j * policy.epsilon
     return numerics.quad_complex(lambda z: 1.0 / (a * z + b * (1.0 - z) + shift) ** 2,
@@ -110,34 +128,45 @@ def feynman_combine3(a, b, c, policy: IEpsilonPolicy = DEFAULT_POLICY) -> comple
     return 2.0 * numerics.quad_complex(inner, 0.0, 1.0, tol=1e-8, what="2-D quadrature")
 
 
+def _check_lambdas(*lams: float) -> None:
+    for lam in lams:
+        if not 0.0 < lam < math.inf:   # NaN fails too
+            raise DomainError("Lambda must be positive and finite")
+
+
+def _finite(val: complex) -> complex:
+    if not cmath.isfinite(val):
+        raise NumericError("loop integral is outside the float range")
+    return val
+
+
 def loop_integral_I(lam: float) -> complex:
     """int_C dk (k^2 + Lambda)^-3 = pi^2 i / (2 Lambda)."""
-    if lam <= 0:
-        raise DomainError("Lambda must be positive")
-    return 1j * math.pi**2 / (2.0 * lam)
+    _check_lambdas(lam)
+    return _finite(1j * math.pi**2 / (2.0 * lam))
 
 
 def loop_integral_I_quadrature(lam: float) -> complex:
     """Radial oracle: 2 pi^2 i int_0^inf k^3 dk (k^2 + Lambda)^-3.  With
     k = sqrt(Lambda) t/(1-t) the radial integral is (1/Lambda) times
     int_0^1 t^3 (1-t) dt/(t^2 + (1-t)^2)^3, smooth on [0, 1]."""
-    if lam <= 0:
-        raise DomainError("Lambda must be positive")
+    _check_lambdas(lam)
     val = numerics.gauss(lambda t: t**3 * (1.0 - t) / (t * t + (1.0 - t) ** 2) ** 3,
                          0.0, 1.0, tol=1e-8, what="radial loop quadrature") / lam
-    return 2j * math.pi**2 * val
+    return _finite(2j * math.pi**2 * val)
 
 
 def loop_log_difference(lam: float, lam_prime: float) -> complex:
     """int_C dk [(k^2+Lambda)^-2 - (k^2+Lambda')^-2] = pi^2 i log(Lambda'/Lambda)."""
-    if lam <= 0 or lam_prime <= 0:
-        raise DomainError("Lambda values must be positive")
-    return 1j * math.pi**2 * math.log(lam_prime / lam)
+    _check_lambdas(lam, lam_prime)
+    ratio = lam_prime / lam
+    if not 0.0 < ratio < math.inf:
+        raise NumericError("Lambda'/Lambda is outside the float range")
+    return 1j * math.pi**2 * math.log(ratio)
 
 
 def loop_log_difference_quadrature(lam: float, lam_prime: float) -> complex:
-    if lam <= 0 or lam_prime <= 0:
-        raise DomainError("Lambda values must be positive")
+    _check_lambdas(lam, lam_prime)
     val = numerics.quad(
         lambda k: k**3 * (1.0 / (k**2 + lam) ** 2 - 1.0 / (k**2 + lam_prime) ** 2),
         0.0, math.inf, tol=1e-10, what="radial loop quadrature")

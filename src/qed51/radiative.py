@@ -15,6 +15,7 @@ frequencies come out in megacycles through the constants profile.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from . import numerics
@@ -277,12 +278,20 @@ def k_integral_radial(p_vec, pp_vec, q2: float, r_ir: float) -> complex:
     return 1.5j * math.pi**2 * val
 
 
+def _check_threshold(detector_de_over_mc2: float) -> None:
+    """DomainError unless dE > 0 and log(1/(2 dE)) is finite: 1/(2 dE)
+    overflows below about 2.8e-309, and is 0 when 2 dE overflows."""
+    if not detector_de_over_mc2 > 0:
+        raise DomainError("detector threshold must be positive")
+    if not 0.0 < 1.0 / (2.0 * detector_de_over_mc2) < math.inf:
+        raise DomainError("detector threshold out of range: log(1/(2 dE)) is not finite")
+
+
 def scattering_correction(q2_over_mu2: float, detector_de_over_mc2: float, alpha: float):
     """Second-order corrections to the Born element in the nonrelativistic
     window: returns (coefficient multiplying M0, magnetic-moment coefficient
     multiplying i e u'bar eslash qslash u)."""
-    if detector_de_over_mc2 <= 0:
-        raise DomainError("detector threshold must be positive")
+    _check_threshold(detector_de_over_mc2)
     if abs(q2_over_mu2) > 1.0:
         raise DomainError("outside the nonrelativistic validity window |q^2| << mu^2")
     bracket = math.log(1.0 / (2.0 * detector_de_over_mc2)) + 11.0 / 24.0 - 1.0 / 5.0
@@ -293,8 +302,7 @@ def nonradiative_cross_section_factor(q2_over_mu2: float, detector_de_over_mc2: 
                                       alpha: float) -> float:
     """sigma_N / sigma0 = 1 - (2 alpha/3 pi)(log(mc^2/2 dE) + 5/6 - 1/5) q^2/mu^2
     (the moment term folded in)."""
-    if detector_de_over_mc2 <= 0:
-        raise DomainError("detector threshold must be positive")
+    _check_threshold(detector_de_over_mc2)
     bracket = math.log(1.0 / (2.0 * detector_de_over_mc2)) + 5.0 / 6.0 - 1.0 / 5.0
     return 1.0 - 2.0 * alpha / (3.0 * math.pi) * q2_over_mu2 * bracket
 
@@ -324,16 +332,6 @@ def observable_scattering_probability(split_r: float, detector_de: float,
 # ---------------------------------------------------------------------------
 # Total (radiative + nonradiative) cross-section correction.
 
-def _coulomb_lambda_weight(x, q2: float):
-    """g(lam) = lam q^2/|q_lam|^2 for the Coulomb form factor, normalized to
-    g(1) = 1, at lam = 1 - x: |q_lam|^2 = x^2 + lam q^2 in units of p^2, with
-    q^2 = 4 sin^2(theta/2).  Taking x and q^2, not lam and cos(theta), keeps
-    the peak at lam = 1 (width about theta) free of cancellation at small
-    theta.  x is a float or a numpy array."""
-    lam = 1.0 - x
-    return lam * q2 / (x * x + lam * q2)
-
-
 def _subtracted_lambda_integral(theta: float, scheme: str = "closed") -> float:
     """I(theta) = int_0^1 (2 lam/(1-lam^2)) (g(lam) - 1) d lam for
     0 < theta <= pi, finite by construction.
@@ -346,9 +344,9 @@ def _subtracted_lambda_integral(theta: float, scheme: str = "closed") -> float:
     I(pi) = 2 ln 2 - 3/2; ln S is taken as log1p(-C^2)/2 when S > 0.7.  No
     quadrature, no scipy.
 
-    The two oracle routes integrate the definitional integrand, with g from
-    _coulomb_lambda_weight, in x = 1 - lam, so they check the algebra behind
-    the closed form.  Neither evaluates the removable 0/0 at x = 0.
+    The two oracle routes integrate the definitional integrand in
+    x = 1 - lam, so they check the algebra behind the closed form.  Neither
+    evaluates the removable 0/0 at x = 0.
     - "adaptive": QUADPACK (numerics.quad, tol 1e-12), for theta >= 1e-100;
       below about 1e-120 it raises NumericError.
     - "gauss": numerics.gauss (tol 1e-10), for theta >= 0.1.  The integrand
@@ -372,9 +370,16 @@ def _subtracted_lambda_integral(theta: float, scheme: str = "closed") -> float:
 
     q2 = 4.0 * math.sin(0.5 * theta) ** 2
 
-    def integrand(x):  # at lam = 1 - x, where 1 - lam^2 = x (1 + lam)
+    def integrand(x):
+        # at lam = 1 - x, where 1 - lam^2 = x (1 + lam).  The Coulomb form
+        # factor g(lam) = lam q^2/|q_lam|^2, normalized to g(1) = 1, has
+        # |q_lam|^2 = x^2 + lam q^2 in units of p^2, with q^2 = 4 sin^2(theta/2);
+        # taking x and q^2, not lam and cos(theta), keeps the peak at lam = 1
+        # (width about theta) free of cancellation at small theta.  x is a
+        # float or a numpy array.
         lam = 1.0 - x
-        return 2.0 * lam * (_coulomb_lambda_weight(x, q2) - 1.0) / (x * (1.0 + lam))
+        lam_q2 = lam * q2
+        return 2.0 * lam * (lam_q2 / (x * x + lam_q2) - 1.0) / (x * (1.0 + lam))
 
     what = "subtracted lambda integral"
     if scheme == "adaptive":
@@ -398,8 +403,10 @@ def total_scattering_correction(kinetic_t_over_mc2: float, theta: float,
     oracle routes, scheme="adaptive" (QUADPACK) or scheme="gauss"
     (numerics.gauss, theta >= 0.1)."""
     t = kinetic_t_over_mc2
-    if t <= 0 or t > 0.2:
+    if not 0.0 < t <= 0.2:
         raise DomainError("kinetic energy outside the nonrelativistic window")
+    if t < sys.float_info.min:   # beta^2 and q^2 would be subnormal
+        raise DomainError("kinetic energy below the smallest normal float")
     if not 0.0 < theta < math.pi:
         raise DomainError("need 0 < theta < pi")
     beta2 = 2.0 * t  # NR

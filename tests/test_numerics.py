@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qed51 import numerics
-from qed51.errors import NumericError
+from qed51 import numerics, propagators, radiative
+from qed51.errors import NumericError, QedError
 
 
 def test_quad_returns_a_converged_value():
@@ -72,20 +74,104 @@ def test_gauss_builds_each_rule_once(monkeypatch):
         return leggauss(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
-    numerics._legendre.cache_clear()
+    numerics._gauss_rule.cache_clear()
     try:
         for _ in range(5):
             numerics.gauss(np.sin, 0.0, math.pi, tol=1e-10, what="sine")
     finally:
-        numerics._legendre.cache_clear()
+        numerics._gauss_rule.cache_clear()
     assert sorted(built) == [numerics.GAUSS_NODES // 2, numerics.GAUSS_NODES]
 
 
 def test_cached_gauss_rule_is_read_only():
     numerics.gauss(np.sin, 0.0, math.pi, tol=1e-10, what="sine")
-    for arr in numerics._legendre(numerics.GAUSS_NODES):
+    for arr in numerics._gauss_rule(numerics.GAUSS_NODES):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def two_call_gauss(f, a, b, *, tol, what):
+    """gauss as it was written with one integrand call per node count: the
+    reference that its one stacked call must reproduce bit for bit."""
+    def rule(n):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * (b - a)
+        return half * float(weights @ f(a + half * (nodes + 1.0)))
+
+    val = rule(numerics.GAUSS_NODES)
+    numerics._check(abs(val - rule(numerics.GAUSS_NODES // 2)), abs(val), tol, what)
+    return val
+
+
+def value_and_estimate(gauss, f, a, b):
+    """gauss's value and the error estimate it hands to _check, which here
+    records it instead of checking it."""
+    estimates = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_check", lambda err, scale, tol, what: estimates.append(err))
+        return gauss(f, a, b, tol=0.0, what="draw"), estimates
+
+
+INTEGRANDS = {
+    "exp": np.exp,
+    "log": lambda x: np.log(1.0 + x * x),
+    "sin": np.sin,
+    "exp-log-sin": lambda x: np.exp(-x * x) * np.sin(3.0 * x) + np.log(2.0 + np.cos(x)),
+}
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(INTEGRANDS)), st.floats(-100.0, 100.0),
+       st.floats(-12.0, math.log10(200.0)), st.booleans())
+def test_gauss_equals_the_two_call_rule(name, a, log_width, reverse):
+    # intervals from 1e-12 to 200 wide, either way round
+    f = INTEGRANDS[name]
+    b = a - 10.0**log_width if reverse else a + 10.0**log_width
+    assert value_and_estimate(numerics.gauss, f, a, b) == value_and_estimate(two_call_gauss, f, a, b)
+
+
+def outcome(fn, args):
+    """fn(*args), or the type and message of the package error it raises."""
+    try:
+        return fn(*args)
+    except QedError as exc:
+        return type(exc), str(exc)
+
+
+def _log_floats(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+EXACT = propagators.IEpsilonPolicy.exact_limit()
+# Every gauss caller in the package, with points that reach both its
+# converged values and its NumericErrors
+GAUSS_CALLERS = {
+    "subtracted lambda integral": (
+        lambda theta: radiative._subtracted_lambda_integral(theta, "gauss"),
+        st.tuples(_log_floats(1e-3, math.pi))),
+    "self-energy z-integral": (radiative.self_energy_z_integral,
+                               st.tuples(st.floats(-50.0, 50.0))),
+    "radial loop quadrature": (propagators.loop_integral_I_quadrature,
+                               st.tuples(_log_floats(1e-300, 1e300))),
+    "exact feynman_combine2": (
+        lambda a, b: propagators.feynman_combine2(a, b, EXACT),
+        st.builds(lambda sign, a, b: (sign * a, sign * b), st.sampled_from((-1.0, 1.0)),
+                  _log_floats(1e-300, 1e300), _log_floats(1e-300, 1e300))
+        | st.builds(lambda a, rel: (a, a * (1.0 + rel)), st.floats(-1e6, 1e6).filter(bool),
+                    _log_floats(1e-16, 10.0))),
+}
+
+
+@pytest.mark.parametrize("name", GAUSS_CALLERS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_gauss_callers_equal_their_two_call_values(name, data):
+    fn, points = GAUSS_CALLERS[name]
+    args = data.draw(points)
+    ours = outcome(fn, args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "gauss", two_call_gauss)
+        assert ours == outcome(fn, args)
 
 
 def test_quad_and_quad_complex_leave_the_warning_filters_alone(monkeypatch):

@@ -149,6 +149,38 @@ def test_loop_quadratures_converge_across_lambda_grid():
         assert abs(quad - closed) < 1e-12 * abs(closed)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: prop.feynman_combine2(5e-324, 1.0, EXACT), NumericError),
+    (lambda: prop.feynman_combine2(1.0, 5e-324, EXACT), NumericError),
+    (lambda: prop.feynman_combine2(1e300, 1e-300, EXACT), NumericError),
+    (lambda: prop.feynman_combine2(-1e-300, -1e300, EXACT), NumericError),
+    (lambda: prop.feynman_combine2(1e-300, 1e-10, EXACT), NumericError),
+    (lambda: prop.loop_integral_I(math.nan), DomainError),
+    (lambda: prop.loop_integral_I(math.inf), DomainError),
+    (lambda: prop.loop_integral_I(5e-324), NumericError),
+    (lambda: prop.loop_integral_I_quadrature(math.nan), DomainError),
+    (lambda: prop.loop_integral_I_quadrature(5e-324), NumericError),
+    (lambda: prop.loop_log_difference(math.nan, 1.0), DomainError),
+    (lambda: prop.loop_log_difference(math.inf, 1.0), DomainError),
+    (lambda: prop.loop_log_difference(1.0, math.inf), DomainError),
+    (lambda: prop.loop_log_difference(1e308, 5e-324), NumericError),
+    (lambda: prop.loop_log_difference(5e-324, 1e308), NumericError),
+    (lambda: prop.loop_log_difference_quadrature(math.inf, 1.0), DomainError),
+    (lambda: prop.loop_log_difference_quadrature(1.0, 1e308), NumericError),
+], ids=["combine2-ratio-subnormal", "combine2-ratio-overflows", "combine2-ratio-inf",
+        "combine2-ratio-zero", "combine2-integrand-overflows", "I-nan", "I-inf", "I-overflows",
+        "I-quadrature-nan", "I-quadrature-overflows", "log-nan", "log-inf", "log-prime-inf",
+        "log-ratio-zero", "log-ratio-inf", "log-quadrature-inf", "log-quadrature-overflows"])
+def test_out_of_range_loop_and_combination_inputs_raise_before_any_warning(call, error):
+    # Lambda outside (0, inf) is a DomainError; a result or an integrand
+    # beyond the float range is a NumericError, raised before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            call()
+    assert error is DomainError or not isinstance(exc.value, DomainError)
+
+
 def test_propagator_analytic_in_epsilon():
     # finite values, no exceptions, for any real k when epsilon > 0
     rng = np.random.default_rng(3)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qed51 import numerics
 from qed51 import radiative as rad
 from qed51.constants import ERA_1951, MODERN
 from qed51.errors import DomainError, NumericError
@@ -279,6 +281,70 @@ def test_total_correction_scale_is_alpha_beta2_log():
     beta2 = 2 * t
     scale = ALPHA * beta2 * math.log(1.0 / (2.0 * t))
     assert 0.1 * scale < correction < 10.0 * scale
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rad.total_scattering_correction(5e-324, 1.0, 5e-324, ALPHA),
+    lambda: rad.total_scattering_correction(0.2, 1.0, 5e-324, ALPHA),
+    lambda: rad.total_scattering_correction(2e-309, 1.0, 1e-309, ALPHA),
+    lambda: rad.total_scattering_correction(1e-307, 1.0, None, ALPHA),
+    lambda: rad.total_scattering_correction(math.nan, 1.0, None, ALPHA),
+    lambda: rad.nonradiative_cross_section_factor(0.0, 5e-324, ALPHA),
+    lambda: rad.nonradiative_cross_section_factor(0.0, math.inf, ALPHA),
+    lambda: rad.scattering_correction(0.0, 5e-324, ALPHA),
+    lambda: rad.scattering_correction(0.0, 1e308, ALPHA),
+    lambda: rad.scattering_correction(0.0, math.nan, ALPHA),
+], ids=["T-and-dE-subnormal", "dE-subnormal", "T-subnormal", "default-dE-subnormal", "T-nan",
+        "nonradiative-subnormal", "nonradiative-inf", "scattering-subnormal",
+        "scattering-2dE-overflows", "scattering-nan"])
+def test_energy_and_threshold_out_of_range_are_domain_errors(call):
+    # T below the smallest normal float, or a dE whose log(1/(2 dE)) is not
+    # finite, is a DomainError, not nan or inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_subnormal_threshold_with_a_finite_log_is_accepted():
+    # the oracle draws reach T = 1e-300 with dE = 1e-8 T, below 2.2e-308
+    assert rad.total_scattering_correction(1e-300, 1.0, 1e-308, ALPHA) == 1.0
+
+
+def _weight_form_integral(theta, scheme):
+    """_subtracted_lambda_integral's oracle routes with the integrand written
+    through the Coulomb weight g(lam) = lam q^2/(x^2 + lam q^2), as it was
+    before the weight was inlined: the reference for the inlined form."""
+    q2 = 4.0 * math.sin(0.5 * theta) ** 2
+
+    def weight(x):
+        lam = 1.0 - x
+        return lam * q2 / (x * x + lam * q2)
+
+    def integrand(x):
+        lam = 1.0 - x
+        return 2.0 * lam * (weight(x) - 1.0) / (x * (1.0 + lam))
+
+    what = "subtracted lambda integral"
+    if scheme == "adaptive":
+        return numerics.quad(integrand, 0.0, 1.0, tol=1e-12, what=what)
+    return numerics.gauss(integrand, 0.0, 1.0, tol=1e-10, what=what)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["adaptive", "gauss"]), st.floats(-100.0, math.log10(math.pi)))
+def test_inlined_lambda_integrand_equals_the_weight_form(scheme, log_theta):
+    # theta from 1e-100 to pi: both routes' converged values and failures
+    theta = min(10.0**log_theta, math.pi)
+    assert (_outcome(rad._subtracted_lambda_integral, theta, scheme)
+            == _outcome(_weight_form_integral, theta, scheme))
 
 
 # f(theta) = 19/30 - I(theta) at the float theta shown: the partial-fraction
